@@ -50,10 +50,11 @@ type Options struct {
 	// "respond in 50 ms or less", beyond which the frontend drops the slot.
 	Timeout time.Duration
 	// Retries is the number of additional attempts on transient errors
-	// (network failures and 5xx); 0 means 1 retry. Retried POSTs carry the
-	// same X-Idempotency-Key, so the server deduplicates a retry whose
-	// first attempt actually landed. Set DisableRetries to turn retries
-	// off entirely.
+	// (network failures and 5xx); 0 means 1 retry. A client that can retry
+	// stamps each Recommend call with an X-Idempotency-Key that all its
+	// attempts repeat, so the server deduplicates a retry whose first
+	// attempt actually landed. Set DisableRetries to turn retries off
+	// entirely; such a client sends no key, having nothing to deduplicate.
 	Retries int
 	// DisableRetries makes every request single-attempt, overriding
 	// Retries. (Retries cannot express this: its zero value means one
@@ -110,7 +111,12 @@ func (c *Client) Recommend(ctx context.Context, sessionKey string, item sessions
 	// One key per logical click: every retry of this call carries the same
 	// key, so a retry whose first attempt actually landed is deduplicated
 	// server-side instead of appending the click to the session twice.
-	err := c.do(ctx, http.MethodPost, "/v1/recommend", sessionKey, newIdempotencyKey(), cb, cb.enc,
+	// Without retries there is no duplicate to suppress, so no key.
+	var idemKey string
+	if c.retries > 0 {
+		idemKey = newIdempotencyKey()
+	}
+	err := c.do(ctx, http.MethodPost, "/v1/recommend", sessionKey, idemKey, cb, cb.enc,
 		func(data []byte) error { return serving.DecodeResponse(&cb.dec, data, &out) })
 	return out, err
 }

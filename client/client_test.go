@@ -212,6 +212,10 @@ func TestDisableRetries(t *testing.T) {
 	var calls atomic.Int32
 	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
+		// A single-attempt client has no retry to deduplicate.
+		if key := r.Header.Get(serving.IdempotencyKeyHeader); key != "" {
+			t.Errorf("idempotency key %q sent with retries disabled", key)
+		}
 		http.Error(w, "transient", http.StatusBadGateway)
 	}))
 	defer flaky.Close()

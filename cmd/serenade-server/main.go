@@ -74,7 +74,7 @@ func main() {
 		storeDir  = flag.String("store-dir", "", "durable session store directory (empty = memory only)")
 		walSync   = flag.String("wal-sync", "interval", "session store WAL fsync policy: always | interval | never")
 		walSyncIv = flag.Duration("wal-sync-interval", 5*time.Millisecond, "group-commit window for -wal-sync=interval")
-		idemTTL   = flag.Duration("idempotency-ttl", 2*time.Minute, "response retention for X-Idempotency-Key deduplication (negative disables)")
+		idemTTL   = flag.Duration("idempotency-ttl", 2*time.Minute, "how long, from the first answer, a retry with the same X-Idempotency-Key, session, item and consent is replayed; 65,536 entries, oldest evicted when full (negative disables)")
 		fallback  = flag.Bool("fallback-popular", true, "pad short lists with popular items")
 		trendHL   = flag.Duration("trending-half-life", 2*time.Hour, "trending tracker half-life (0 disables /v1/trending)")
 		debugAddr = flag.String("debug-addr", "", "listen address for net/http/pprof profiling endpoints (empty = disabled)")

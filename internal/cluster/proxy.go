@@ -3,7 +3,9 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httputil"
 	"net/url"
@@ -166,14 +168,17 @@ func SessionKey(r *http.Request) string {
 	return r.Header.Get("X-Session-Id")
 }
 
-// retryable reports whether a failed forward may be replayed: the method
-// must be idempotent and the body must not have been consumed.
-func retryable(r *http.Request) bool {
-	switch r.Method {
-	case http.MethodGet, http.MethodHead:
-		return r.Body == nil || r.Body == http.NoBody
+// retryable reports whether a forward that failed with err may be replayed:
+// the method must be idempotent and the body must not have been consumed.
+// GET /v1/recommend is not idempotent — it appends the click to the session
+// — so it is replayed only when the backend cannot have seen it (the dial
+// failed); otherwise a retry would count the click twice.
+func retryable(r *http.Request, err error) bool {
+	if (r.Method != http.MethodGet && r.Method != http.MethodHead) || (r.Body != nil && r.Body != http.NoBody) {
+		return false
 	}
-	return false
+	var op *net.OpError
+	return r.URL.Path != "/v1/recommend" || errors.As(err, &op) && op.Op == "dial"
 }
 
 // handleHealth fans a GET /debug/health out to every backend concurrently
@@ -349,7 +354,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if slot.err == nil {
 		return
 	}
-	if retryable(r) {
+	if retryable(r, slot.err) {
 		b.retries.Inc()
 		slot.err = nil
 		b.rp.ServeHTTP(w, req)

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"sync/atomic"
 	"testing"
 
 	"serenade/internal/core"
@@ -13,9 +14,7 @@ import (
 	"serenade/internal/synth"
 )
 
-// startBackends runs n real serving instances behind httptest servers and
-// returns the proxy wired to them plus the backing servers.
-func startBackends(t *testing.T, n int) (*Proxy, []*serving.Server) {
+func testIndex(t *testing.T) *core.Index {
 	t.Helper()
 	ds, err := synth.Generate(synth.Small(66))
 	if err != nil {
@@ -25,6 +24,14 @@ func startBackends(t *testing.T, n int) (*Proxy, []*serving.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return idx
+}
+
+// startBackends runs n real serving instances behind httptest servers and
+// returns the proxy wired to them plus the backing servers.
+func startBackends(t *testing.T, n int) (*Proxy, []*serving.Server) {
+	t.Helper()
+	idx := testIndex(t)
 	proxy := NewProxy()
 	var servers []*serving.Server
 	for i := 0; i < n; i++ {
@@ -156,5 +163,49 @@ func TestProxyBackendRemoval(t *testing.T) {
 		if got := get(fmt.Sprintf("u%d", i)); got != http.StatusOK {
 			t.Fatalf("post-removal status = %d (sessions must remap)", got)
 		}
+	}
+}
+
+// TestProxyDoesNotRetryRecommend: GET /v1/recommend appends the click, so a
+// forward that failed after the backend served it must not be replayed; a
+// retry would count the click twice.
+func TestProxyDoesNotRetryRecommend(t *testing.T) {
+	srv, err := serving.NewServer(testIndex(t), serving.Config{Params: core.Params{M: 100, K: 50}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var calls atomic.Int32
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		// Serve the request, then drop the connection before answering.
+		srv.Handler().ServeHTTP(httptest.NewRecorder(), r)
+		conn, _, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		conn.Close()
+	}))
+	defer backend.Close()
+	proxy := NewProxy()
+	u, _ := url.Parse(backend.URL)
+	proxy.AddBackend("pod-0", u)
+	front := httptest.NewServer(proxy)
+	defer front.Close()
+
+	resp, err := http.Get(front.URL + "/v1/recommend?session_id=once&item_id=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Errorf("status = %d, want 502", resp.StatusCode)
+	}
+	if got := calls.Load(); got != 1 {
+		t.Errorf("backend saw %d calls, want 1", got)
+	}
+	if state, _ := srv.SessionState("once"); len(state) != 1 {
+		t.Errorf("stored session has %d clicks, want 1", len(state))
 	}
 }

@@ -2,6 +2,7 @@ package serving
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"testing"
@@ -96,6 +97,42 @@ func TestHTTPAllocBudgets(t *testing.T) {
 		reqs[0].Header.Set(IdempotencyKeyHeader, "alloc-idem-key")
 		got := measureAllocs(t, s.Handler(), reqs[0], bodies[0])
 		checkBudget(t, "POST /v1/recommend (idempotent replay)", got, allocBudgetReplay)
+	})
+
+	t.Run("RecommendPostKeyed", func(t *testing.T) {
+		// A fresh key per request at a full table: each insert evicts a slot
+		// whose buffers already fit, so the table adds no allocation. A small
+		// table keeps the fill cheap; the code path is the same at any size.
+		s := testServer(t, Config{})
+		s.replay = newReplayTable(256, DefaultIdempotencyTTL, s.cfg.Now)
+		payload, err := json.Marshal(Request{SessionKey: "alloc-keyed", Item: popularItem()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := &resettableBody{}
+		body.Reset(payload)
+		req, err := http.NewRequest(http.MethodPost, "/v1/recommend", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := make([][]string, 4096)
+		for i := range keys {
+			keys[i] = []string{fmt.Sprintf("alloc-keyed-%06d", i)}
+		}
+		n := 0
+		h := s.Handler()
+		keyed := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			r.Header[IdempotencyKeyHeader] = keys[n%len(keys)]
+			n++
+			h.ServeHTTP(w, r)
+		})
+		w := &benchResponseWriter{h: make(http.Header)}
+		for s.replay.occupied.Load() < 256 {
+			body.Seek(0, io.SeekStart)
+			keyed.ServeHTTP(w, req)
+		}
+		got := measureAllocs(t, keyed, req, body)
+		checkBudget(t, "POST /v1/recommend (fresh key, full idempotency table)", got, allocBudgetRecommendPost)
 	})
 
 	t.Run("Track", func(t *testing.T) {

@@ -18,8 +18,9 @@ import (
 
 // IdempotencyKeyHeader names the header carrying a client-chosen key that
 // identifies one logical recommendation request across retries. The server
-// retains the response for each key (Config.IdempotencyTTL) and replays it
-// for duplicates instead of appending the click to the session again.
+// retains the response for each keyed request (Config.IdempotencyTTL) and
+// replays it for a duplicate — the same key on the same session, item and
+// consent flag — instead of appending the click to the session again.
 const IdempotencyKeyHeader = "X-Idempotency-Key"
 
 // IdempotencyReplayHeader is set to "true" on responses served from the
@@ -308,18 +309,22 @@ func (s *Server) serveRecommend(w http.ResponseWriter, r *http.Request, req Requ
 	// Duplicate delivery of a request that already landed (client retry
 	// after a lost response): replay the stored response; the click must
 	// not be appended to the evolving session a second time.
-	idem := r.Header.Get(IdempotencyKeyHeader)
-	if body, ok := s.replayIdempotent(idem, sc.enc[:0]); ok {
-		sc.enc = body
-		s.idemReplays.Inc()
-		h := w.Header()
-		h[IdempotencyReplayHeader] = replayTrue
-		h["Content-Type"] = contentTypeJSON
-		w.WriteHeader(http.StatusOK)
-		w.Write(body)
-		sp.Cut(obs.StageEncode)
-		s.observeSpan(sp, nil)
-		return
+	var id []byte
+	if key := r.Header.Get(IdempotencyKeyHeader); key != "" && s.replay != nil {
+		id = appendReplayID(sc.replayID[:0], &req, key)
+		sc.replayID = id
+		if body, ok := s.replay.lookup(id, sc.enc[:0]); ok {
+			sc.enc = body
+			s.idemReplays.Inc()
+			h := w.Header()
+			h[IdempotencyReplayHeader] = replayTrue
+			h["Content-Type"] = contentTypeJSON
+			w.WriteHeader(http.StatusOK)
+			w.Write(body)
+			sp.Cut(obs.StageEncode)
+			s.observeSpan(sp, nil)
+			return
+		}
 	}
 	resp, err := s.recommend(req, sp, sc)
 	if err != nil {
@@ -329,8 +334,10 @@ func (s *Server) serveRecommend(w http.ResponseWriter, r *http.Request, req Requ
 	}
 	sc.enc = EncodeResponse(sc.enc[:0], &resp)
 	// Record before responding, so a retry racing the response sees it
-	// (the dedupe store copies the body out of the scratch buffer).
-	s.storeIdempotent(idem, sc.enc)
+	// (the table copies the body out of the scratch buffer).
+	if id != nil {
+		s.replay.insert(id, sc.enc)
+	}
 	w.Header()["Content-Type"] = contentTypeJSON
 	w.WriteHeader(http.StatusOK)
 	w.Write(sc.enc)

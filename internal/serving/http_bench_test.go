@@ -119,6 +119,41 @@ func BenchmarkHTTPIdempotentReplay(b *testing.B) {
 	benchServe(b, s.Handler(), reqs, bodies)
 }
 
+// BenchmarkHTTPKeyedFullTable is a keyed POST with a fresh key per request,
+// after 1,000 and after 70,000 distinct keys: below and past the
+// idempotency table's 65,536 slots. The two should read the same.
+func BenchmarkHTTPKeyedFullTable(b *testing.B) {
+	for _, after := range []int{1000, 70000} {
+		b.Run(fmt.Sprintf("after=%d", after), func(b *testing.B) {
+			s := testServer(b, Config{})
+			h := s.Handler()
+			reqs, bodies := benchRequests(b, 1)
+			keys := make([][]string, after+b.N)
+			for i := range keys {
+				keys[i] = []string{fmt.Sprintf("bench-keyed-%08d", i)}
+			}
+			w := &benchResponseWriter{h: make(http.Header)}
+			serve := func(i int) {
+				bodies[0].Seek(0, io.SeekStart)
+				reqs[0].Header[IdempotencyKeyHeader] = keys[i]
+				w.status = 0
+				h.ServeHTTP(w, reqs[0])
+				if w.status != http.StatusOK {
+					b.Fatalf("status = %d", w.status)
+				}
+			}
+			for i := 0; i < after; i++ {
+				serve(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve(after + i)
+			}
+		})
+	}
+}
+
 // BenchmarkHTTPTrack measures click-feedback ingestion end to end.
 func BenchmarkHTTPTrack(b *testing.B) {
 	s := testServer(b, Config{Quality: &quality.Options{Variant: "bench"}})

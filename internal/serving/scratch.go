@@ -41,6 +41,8 @@ type reqScratch struct {
 	kvBuf []byte
 	// key builds the result-cache key.
 	key []byte
+	// replayID builds the idempotency-table identity of a keyed request.
+	replayID []byte
 }
 
 var scratchPool = sync.Pool{New: func() any {

@@ -48,9 +48,8 @@ const maxStoredSessionLength = 50
 // past any client timeout+retry window.
 const DefaultIdempotencyTTL = 2 * time.Minute
 
-// maxDedupeEntries bounds the idempotency table; past it the server sweeps
-// expired entries and, if still full, stops recording new keys (fail open:
-// a duplicate may then reprocess, which is the pre-dedupe behaviour).
+// maxDedupeEntries is the number of slots in the idempotency table; at
+// capacity an insert evicts the oldest entry of its bucket.
 const maxDedupeEntries = 1 << 16
 
 // Config parameterises a Server.
@@ -79,7 +78,8 @@ type Config struct {
 	// IdempotencyTTL is how long responses are retained for duplicate
 	// suppression via the X-Idempotency-Key header: a retried request whose
 	// first attempt already landed replays the stored response instead of
-	// appending the click to the session again. Zero means
+	// appending the click to the session again. The retention runs from the
+	// first response; replays do not extend it. Zero means
 	// DefaultIdempotencyTTL; negative disables deduplication.
 	IdempotencyTTL time.Duration
 	// Catalog supplies the business-rule item flags; nil disables
@@ -168,10 +168,11 @@ type Config struct {
 type Server struct {
 	cfg   Config
 	store *kvstore.Store
-	// dedupe maps idempotency keys to already-sent response bodies (a
-	// memory-only TTL'd kvstore). It suppresses the double-append a client
-	// retry causes when the first attempt landed but its response was lost.
-	dedupe *kvstore.Store
+	// replay maps keyed requests to already-sent response bodies (nil when
+	// Config.IdempotencyTTL is negative). It suppresses the double-append a
+	// client retry causes when the first attempt landed but its response was
+	// lost.
+	replay *replayTable
 	// active holds the current index generation: the index plus a pool of
 	// recommenders bound to it. Swapped wholesale on index rollover.
 	active atomic.Pointer[indexGeneration]
@@ -382,25 +383,17 @@ func NewServer(idx *core.Index, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serving: opening session store: %w", err)
 	}
-	var dedupe *kvstore.Store
+	s := &Server{
+		cfg:      cfg,
+		store:    store,
+		requests: metrics.NewStripedHistogram(),
+	}
 	if cfg.IdempotencyTTL >= 0 {
 		ttl := cfg.IdempotencyTTL
 		if ttl == 0 {
 			ttl = DefaultIdempotencyTTL
 		}
-		// Memory-only: after a restart the sessions the keys guard are in
-		// the same boat as the dedupe state, so persisting it buys nothing.
-		dedupe, err = kvstore.Open(kvstore.Options{TTL: ttl, Now: cfg.Now})
-		if err != nil {
-			store.Close()
-			return nil, fmt.Errorf("serving: opening idempotency table: %w", err)
-		}
-	}
-	s := &Server{
-		cfg:      cfg,
-		store:    store,
-		dedupe:   dedupe,
-		requests: metrics.NewStripedHistogram(),
+		s.replay = newReplayTable(maxDedupeEntries, ttl, cfg.Now)
 	}
 	for i := range s.stages {
 		s.stages[i] = metrics.NewStripedHistogram()
@@ -531,9 +524,9 @@ func (s *Server) buildRegistry() {
 	}
 	r.CounterFunc("serenade_store_fsync_seconds_total", "Total time spent in WAL fsyncs (ratio to fsyncs = mean fsync latency).",
 		func() float64 { return float64(s.store.Metrics().FsyncNanos) / 1e9 })
-	if s.dedupe != nil {
-		r.GaugeFunc("serenade_idempotency_entries", "Responses currently retained for duplicate suppression.",
-			func() float64 { return float64(s.dedupe.Len()) })
+	if s.replay != nil {
+		r.GaugeFunc("serenade_idempotency_entries", "Idempotency table slots holding a response (live, or expired and awaiting reuse).",
+			func() float64 { return float64(s.replay.occupied.Load()) })
 	}
 
 	if s.cache != nil {
@@ -700,45 +693,15 @@ func (s *Server) RecordIndexLoad(d time.Duration) {
 // Index returns the currently active index.
 func (s *Server) Index() *core.Index { return s.active.Load().idx }
 
-// Close releases the batcher, the session store, the idempotency table, and
-// (when the server owns its index, Config.OwnIndex) the active index
-// generation.
+// Close releases the batcher, the session store, and (when the server owns
+// its index, Config.OwnIndex) the active index generation.
 func (s *Server) Close() error {
 	if s.batcher != nil {
 		s.batcher.close()
 	}
-	if s.dedupe != nil {
-		s.dedupe.Close()
-	}
 	err := s.store.Close()
 	s.active.Load().retire()
 	return err
-}
-
-// replayIdempotent returns the stored response body for an idempotency key
-// seen before (within the TTL), if any. The body is appended to dst so the
-// caller's scratch buffer absorbs the copy.
-func (s *Server) replayIdempotent(key string, dst []byte) ([]byte, bool) {
-	if key == "" || s.dedupe == nil {
-		return nil, false
-	}
-	return s.dedupe.GetAppend(key, dst)
-}
-
-// storeIdempotent records a successful response body under its idempotency
-// key so a duplicate delivery of the same logical request replays it
-// instead of appending the click again.
-func (s *Server) storeIdempotent(key string, body []byte) {
-	if key == "" || s.dedupe == nil {
-		return
-	}
-	if s.dedupe.Len() >= maxDedupeEntries {
-		s.dedupe.Sweep()
-		if s.dedupe.Len() >= maxDedupeEntries {
-			return // fail open rather than grow without bound
-		}
-	}
-	_ = s.dedupe.Put(key, body)
 }
 
 // Request is one session update + recommendation request from the frontend.
@@ -1102,13 +1065,9 @@ func (s *Server) SessionState(key string) ([]sessions.ItemID, bool) {
 }
 
 // SweepSessions evicts expired session state, mirroring the 30-minute
-// RocksDB TTL; serving machines call it periodically. Expired idempotency
-// entries and elapsed attribution windows (exposures finalising as
-// non-clicks) ride along.
+// RocksDB TTL; serving machines call it periodically. Elapsed attribution
+// windows (exposures finalising as non-clicks) ride along.
 func (s *Server) SweepSessions() int {
-	if s.dedupe != nil {
-		s.dedupe.Sweep()
-	}
 	if s.quality != nil {
 		s.quality.Sweep()
 	}
