@@ -90,8 +90,6 @@ func main() {
 		rates    = flag.String("rates", "100,200,400,600", "comma-separated rates for -sweep")
 		perRate  = flag.Duration("per-rate", 5*time.Second, "duration per rate for -sweep")
 		seed     = flag.Int64("seed", 0, "random seed override")
-		batchWin = flag.Duration("batch-window", 0, "replica request-batching window (0 disables batching)")
-		batchMax = flag.Int("batch-max", 0, "largest gathered batch (0 = serving default)")
 		cacheSz  = flag.Int("result-cache-size", 0, "replica single-flight result cache entries (0 disables)")
 		cacheTTL = flag.Duration("result-cache-ttl", 0, "result cache entry lifetime (0 = serving default)")
 		burst    = flag.Int("burst", 1, "replay each session under this many session keys (duplicate-heavy traffic)")
@@ -114,8 +112,6 @@ func main() {
 		RPS:            *rps,
 		Duration:       *duration,
 		Replicas:       *replicas,
-		BatchWindow:    *batchWin,
-		BatchMax:       *batchMax,
 		CacheSize:      *cacheSz,
 		CacheTTL:       *cacheTTL,
 		Burst:          *burst,

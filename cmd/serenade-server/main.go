@@ -82,8 +82,6 @@ func main() {
 		traceRing = flag.Int("trace-ring", 256, "traces retained for /debug/traces (<0 disables tracing sample retention)")
 		traceEach = flag.Int("trace-sample", 16, "sample 1 in N requests into the trace ring (slow requests always kept)")
 		logJSON   = flag.Bool("log-json", false, "structured logs as JSON instead of text")
-		batchWin  = flag.Duration("batch-window", 0, "gather concurrent requests for this long and score them as one batch (0 disables batching)")
-		batchMax  = flag.Int("batch-max", 0, "largest gathered batch for -batch-window (0 = default 16)")
 		cacheSize = flag.Int("result-cache-size", 0, "single-flight result cache entries (0 disables the cache)")
 		cacheTTL  = flag.Duration("result-cache-ttl", 0, "result cache entry lifetime (0 = default 5s)")
 		f32Scores = flag.Bool("float32-scores", false, "accumulate item scores in float32 (half the accumulator footprint; ranks may differ in ties)")
@@ -158,8 +156,6 @@ func main() {
 	}
 	srv, err := serenade.NewServer(idx, serenade.ServerConfig{
 		Params:             serenade.Params{M: *m, K: *k, Float32Scores: *f32Scores},
-		BatchWindow:        *batchWin,
-		BatchMax:           *batchMax,
 		ResultCacheSize:    *cacheSize,
 		ResultCacheTTL:     *cacheTTL,
 		Recommendations:    *slotSize,

@@ -116,69 +116,6 @@ func BenchmarkRecommendMapReference(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchRecommend measures the batched scoring path at batch sizes
-// 1 through 64. Per-op time is per REQUEST (b.N requests are scored, grouped
-// into batches of B), so the batching win reads directly off the B=1 row.
-// The remap=on variants run the same workload against the popularity-ordered
-// posting layout the batch path is designed to exploit.
-func BenchmarkBatchRecommend(b *testing.B) {
-	idx := benchSetup(b)
-	remapped, err := idx.RemappedByPopularity()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, variant := range []struct {
-		name string
-		idx  *Index
-	}{{"remap=off", idx}, {"remap=on", remapped}} {
-		for _, size := range []int{1, 4, 16, 64} {
-			b.Run(fmt.Sprintf("%s/B=%d", variant.name, size), func(b *testing.B) {
-				br, err := NewBatchRecommender(variant.idx, Params{M: 500, K: 100}, size)
-				if err != nil {
-					b.Fatal(err)
-				}
-				queries := benchQueries(9)
-				batch := make([][]sessions.ItemID, size)
-				for i := range batch {
-					batch[i] = queries[i]
-				}
-				br.BatchRecommend(batch, 21) // warm lane buffers out of the measurement
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i += size {
-					for j := range batch {
-						batch[j] = queries[(i+j)%len(queries)]
-					}
-					br.BatchRecommend(batch, 21)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkBatchRecommendDuplicates measures the in-batch dedup fast path:
-// a batch where every lane carries the same query costs one kernel execution
-// plus B-1 slice assignments.
-func BenchmarkBatchRecommendDuplicates(b *testing.B) {
-	idx := benchSetup(b)
-	const size = 16
-	br, err := NewBatchRecommender(idx, Params{M: 500, K: 100}, size)
-	if err != nil {
-		b.Fatal(err)
-	}
-	queries := benchQueries(9)
-	batch := make([][]sessions.ItemID, size)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += size {
-		q := queries[i%len(queries)]
-		for j := range batch {
-			batch[j] = q
-		}
-		br.BatchRecommend(batch, 21)
-	}
-}
-
 // BenchmarkBuildIndex measures the offline build: the epoch-stamped scratch
 // dedup and two-pass CSR scatter keep allocations to the arena arrays
 // themselves instead of one map + two slices per session/item.

@@ -74,10 +74,8 @@ type Params struct {
 	// Float32Scores switches the item-score accumulator from float64 to
 	// float32, halving its footprint and memory traffic. Scores keep ~7
 	// significant digits — outside the kernel's 1e-12 differential pinning
-	// but far below any rank-relevant score gap on real data; batch and
-	// single-query execution remain bit-identical to each other either way
-	// because they apply contributions in the same order. Leave false for
-	// the exact float64 path.
+	// but far below any rank-relevant score gap on real data. Leave false
+	// for the exact float64 path.
 	Float32Scores bool
 }
 

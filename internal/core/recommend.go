@@ -155,9 +155,7 @@ func (r *Recommender) resetCandidates() {
 // false when the caller must stop walking this posting list (early
 // stopping): postings are sorted by descending timestamp, so once a session
 // is rejected for being older than every current candidate, every remaining
-// session in the list would be rejected too. The batch kernel shares this
-// method so a lane behaves bit-identically whether its postings are walked
-// alone or interleaved with other lanes.
+// session in the list would be rejected too.
 func (r *Recommender) consumePosting(j sessions.SessionID, pi float64, pos int) bool {
 	if sl := r.tab.find(j); sl != nil {
 		sl.score += pi

@@ -22,10 +22,6 @@ type LoadTestConfig struct {
 	Duration time.Duration
 	// Replicas is the number of stateful serving pods (the paper uses 2).
 	Replicas int
-	// BatchWindow enables request batching on the replicas (0 = off).
-	BatchWindow time.Duration
-	// BatchMax bounds a gathered batch (0 = serving default).
-	BatchMax int
 	// CacheSize enables the single-flight result cache (entries; 0 = off).
 	CacheSize int
 	// CacheTTL overrides the cache entry lifetime (0 = serving default).
@@ -94,8 +90,6 @@ func LoadTest(cfg LoadTestConfig, opts Options) (*LoadTestResult, error) {
 	}
 	pool, err := cluster.NewPool(idx, serving.Config{
 		Params:              core.Params{M: 500, K: 100},
-		BatchWindow:         cfg.BatchWindow,
-		BatchMax:            cfg.BatchMax,
 		ResultCacheSize:     cfg.CacheSize,
 		ResultCacheTTL:      cfg.CacheTTL,
 		SLOLatencyThreshold: cfg.SLOLatencyP99,
@@ -218,10 +212,10 @@ func PrintLoadTest(w io.Writer, res *LoadTestResult) {
 	printTable(w, rheader, rcells)
 	printBurnTable(w, res.SLO)
 
-	// Batching / result-cache accounting, when either feature was on.
+	// Result-cache accounting, when the cache was on.
 	active := false
 	for _, rep := range res.Replicas {
-		if rep.CacheHits+rep.CacheMisses+rep.CacheCoalesced+rep.Batches > 0 {
+		if rep.CacheHits+rep.CacheMisses+rep.CacheCoalesced > 0 {
 			active = true
 			break
 		}
@@ -229,8 +223,8 @@ func PrintLoadTest(w io.Writer, res *LoadTestResult) {
 	if !active {
 		return
 	}
-	fmt.Fprintln(w, "\nper-replica batching and result cache")
-	cheader := []string{"replica", "hits", "misses", "coalesced", "hit ratio", "batches", "batched", "avg batch"}
+	fmt.Fprintln(w, "\nper-replica result cache")
+	cheader := []string{"replica", "hits", "misses", "coalesced", "hit ratio"}
 	var ccells [][]string
 	for _, rep := range res.Replicas {
 		lookups := rep.CacheHits + rep.CacheMisses + rep.CacheCoalesced
@@ -238,19 +232,12 @@ func PrintLoadTest(w io.Writer, res *LoadTestResult) {
 		if lookups > 0 {
 			ratio = fmt.Sprintf("%.1f%%", 100*float64(rep.CacheHits+rep.CacheCoalesced)/float64(lookups))
 		}
-		avgBatch := "-"
-		if rep.Batches > 0 {
-			avgBatch = fmt.Sprintf("%.1f", float64(rep.BatchedRequests)/float64(rep.Batches))
-		}
 		ccells = append(ccells, []string{
 			rep.Name,
 			fmt.Sprintf("%d", rep.CacheHits),
 			fmt.Sprintf("%d", rep.CacheMisses),
 			fmt.Sprintf("%d", rep.CacheCoalesced),
 			ratio,
-			fmt.Sprintf("%d", rep.Batches),
-			fmt.Sprintf("%d", rep.BatchedRequests),
-			avgBatch,
 		})
 	}
 	printTable(w, cheader, ccells)
@@ -263,7 +250,7 @@ func printBurnTable(w io.Writer, rows []ReplicaSLO) {
 		return
 	}
 	fmt.Fprintf(w, "\nSLO burn rate vs load (objective: %s)\n", rows[0].State.Objective)
-	header := []string{"replica", "requests", "burn 1m", "burn 5m", "burn 1h", "fast", "slow", "budget left", "queue", "inflight"}
+	header := []string{"replica", "requests", "burn 1m", "burn 5m", "burn 1h", "fast", "slow", "budget left", "inflight"}
 	var cells [][]string
 	for _, rep := range rows {
 		row := []string{rep.Name}
@@ -282,7 +269,6 @@ func printBurnTable(w io.Writer, rows []ReplicaSLO) {
 			fmt.Sprintf("%v", rep.State.FastBurn),
 			fmt.Sprintf("%v", rep.State.SlowBurn),
 			fmt.Sprintf("%.0f%%", 100*rep.State.BudgetRemaining),
-			fmt.Sprintf("%d", rep.Health.BatchQueueDepth),
 			fmt.Sprintf("%d", rep.Health.InFlight),
 		)
 		cells = append(cells, row)
@@ -402,8 +388,6 @@ func SLOSweep(rates []int, perRate time.Duration, cfg LoadTestConfig, opts Optio
 	for _, rps := range rates {
 		pool, err := cluster.NewPool(idx, serving.Config{
 			Params:              core.Params{M: 500, K: 100},
-			BatchWindow:         cfg.BatchWindow,
-			BatchMax:            cfg.BatchMax,
 			ResultCacheSize:     cfg.CacheSize,
 			ResultCacheTTL:      cfg.CacheTTL,
 			SLOLatencyThreshold: cfg.SLOLatencyP99,

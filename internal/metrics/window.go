@@ -104,83 +104,3 @@ func (w *WindowedCounter) Sum(window time.Duration) (l0, l1, l2 uint64) {
 	}
 	return l0, l1, l2
 }
-
-// maxBucket is one coarse bucket of a WindowedMax watermark.
-type maxBucket struct {
-	stamp atomic.Int64
-	max   atomic.Uint64
-	_     [48]byte
-}
-
-// WindowedMax tracks a rolling high-watermark: the largest value observed in
-// any trailing window up to the horizon, at one-second resolution. It feeds
-// the health signal's batcher-wait watermark — "what is the worst queue wait
-// any request ate recently", the overload symptom averages hide.
-//
-// Observe is wait-free and allocation-free. Like WindowedCounter, a value
-// observed concurrently with a bucket recycling into a new second can be
-// dropped; the next observation in that second re-establishes the watermark.
-type WindowedMax struct {
-	horizon int64
-	nowUnix func() int64
-	buckets []maxBucket
-}
-
-// NewWindowedMax creates a watermark able to answer windows up to horizon.
-// now is the clock (nil means time.Now).
-func NewWindowedMax(horizon time.Duration, now func() time.Time) *WindowedMax {
-	secs := int64(horizon / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	nowUnix := func() int64 { return time.Now().Unix() }
-	if now != nil {
-		nowUnix = func() int64 { return now().Unix() }
-	}
-	w := &WindowedMax{horizon: secs, nowUnix: nowUnix, buckets: make([]maxBucket, secs)}
-	for i := range w.buckets {
-		w.buckets[i].stamp.Store(-1)
-	}
-	return w
-}
-
-// Observe records a value into the current second's bucket.
-func (w *WindowedMax) Observe(v uint64) {
-	now := w.nowUnix()
-	b := &w.buckets[now%w.horizon]
-	if s := b.stamp.Load(); s != now {
-		if b.stamp.CompareAndSwap(s, now) {
-			b.max.Store(0)
-		}
-	}
-	for {
-		cur := b.max.Load()
-		if v <= cur || b.max.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// Max reports the largest value observed in the trailing window (clamped to
-// the horizon); zero when the window saw no observations.
-func (w *WindowedMax) Max(window time.Duration) uint64 {
-	secs := int64(window / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > w.horizon {
-		secs = w.horizon
-	}
-	now := w.nowUnix()
-	oldest := now - secs + 1
-	var out uint64
-	for i := range w.buckets {
-		b := &w.buckets[i]
-		if s := b.stamp.Load(); s >= oldest && s <= now {
-			if m := b.max.Load(); m > out {
-				out = m
-			}
-		}
-	}
-	return out
-}

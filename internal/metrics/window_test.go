@@ -139,30 +139,6 @@ func TestWindowedCounterClockSkew(t *testing.T) {
 	}
 }
 
-func TestWindowedMaxDeterministic(t *testing.T) {
-	clk := &fakeClock{}
-	clk.set(500)
-	w := NewWindowedMax(time.Minute, clk.now)
-	w.Observe(10)
-	w.Observe(300)
-	w.Observe(50)
-	if m := w.Max(time.Minute); m != 300 {
-		t.Fatalf("Max = %d, want 300", m)
-	}
-	clk.advance(30)
-	w.Observe(80)
-	if m := w.Max(10 * time.Second); m != 80 {
-		t.Fatalf("Max(10s) = %d, want 80", m)
-	}
-	if m := w.Max(time.Minute); m != 300 {
-		t.Fatalf("Max(1m) = %d, want 300", m)
-	}
-	clk.advance(120)
-	if m := w.Max(time.Minute); m != 0 {
-		t.Fatalf("Max after expiry = %d, want 0", m)
-	}
-}
-
 // TestWindowedCounterConcurrent hammers Add/Sum from many goroutines while
 // the clock advances; run under -race this is the burn-rate accumulator's
 // concurrency proof. Counts may drop at second boundaries (documented), so
@@ -211,35 +187,12 @@ func TestWindowedCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestWindowedMaxConcurrent(t *testing.T) {
-	w := NewWindowedMax(time.Minute, nil)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				w.Observe(uint64(g*2000 + i))
-				w.Max(time.Minute)
-			}
-		}(g)
-	}
-	wg.Wait()
-	if m := w.Max(time.Minute); m != 8*2000-1 {
-		t.Fatalf("Max = %d, want %d", m, 8*2000-1)
-	}
-}
-
 // TestWindowRecordPathAllocs asserts the acceptance criterion: the rolling
-// accumulators are allocation-free on their record paths.
+// accumulator is allocation-free on its record path.
 func TestWindowRecordPathAllocs(t *testing.T) {
 	w := NewWindowedCounter(time.Hour, nil)
 	if n := testing.AllocsPerRun(1000, func() { w.Add(1, 1, 0) }); n != 0 {
 		t.Fatalf("WindowedCounter.Add allocates %.1f/op, want 0", n)
-	}
-	m := NewWindowedMax(time.Minute, nil)
-	if n := testing.AllocsPerRun(1000, func() { m.Observe(42) }); n != 0 {
-		t.Fatalf("WindowedMax.Observe allocates %.1f/op, want 0", n)
 	}
 }
 
@@ -249,18 +202,6 @@ func BenchmarkWindowedCounterAdd(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			w.Add(1, 1, 0)
-		}
-	})
-}
-
-func BenchmarkWindowedMaxObserve(b *testing.B) {
-	w := NewWindowedMax(time.Minute, nil)
-	b.ReportAllocs()
-	var v uint64
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			v++
-			w.Observe(v)
 		}
 	})
 }

@@ -6,10 +6,10 @@ import (
 )
 
 // HealthSignal is one replica's overload telemetry snapshot: the leading
-// indicators admission control needs (queue depth, queue-wait watermarks,
-// in-flight requests) next to the trailing ones (burn rates, hit ratios, GC
-// pressure). Serving fills it, the cluster proxy republishes it per backend
-// at /proxy/health, and the load tester prints it against the offered load.
+// indicator admission control needs (in-flight requests) next to the
+// trailing ones (burn rates, hit ratios, GC pressure). Serving fills it, the
+// cluster proxy republishes it per backend at /proxy/health, and the load
+// tester prints it against the offered load.
 //
 // Durations serialise as nanoseconds, matching /debug/traces.
 type HealthSignal struct {
@@ -18,12 +18,6 @@ type HealthSignal struct {
 
 	// Request pressure.
 	InFlight int64 `json:"in_flight"`
-
-	// Batcher pressure: instantaneous queue depth plus rolling queue-wait
-	// high-watermarks — the overload symptom averages hide.
-	BatchQueueDepth int           `json:"batch_queue_depth"`
-	BatchWaitMax10s time.Duration `json:"batch_wait_max_10s_ns"`
-	BatchWaitMax1m  time.Duration `json:"batch_wait_max_1m_ns"`
 
 	// Result-cache effectiveness over rolling windows; a falling short-window
 	// ratio under rising load means the cache is churning, not absorbing.

@@ -58,7 +58,7 @@ func BenchmarkRecommendCacheMiss(b *testing.B) {
 }
 
 // BenchmarkRecommendNoCache is the baseline the hit/miss pair is read
-// against: the default per-request path with neither cache nor batcher.
+// against: the default path with the cache off.
 func BenchmarkRecommendNoCache(b *testing.B) {
 	s := testServer(b, Config{})
 	numItems := s.Index().NumItems()

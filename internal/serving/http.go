@@ -3,6 +3,7 @@ package serving
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -159,10 +160,8 @@ func (s *Server) handleTrack(w http.ResponseWriter, r *http.Request) {
 	}
 	sc := getScratch()
 	defer putScratch(sc)
-	body, err := readAllInto(sc.body, r.Body)
-	sc.body = body
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request body: "+err.Error())
+	body, ok := s.readBody(w, r, sc)
+	if !ok {
 		return
 	}
 	var req TrackRequest
@@ -195,11 +194,8 @@ func (s *Server) handleQuality(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleRecommendPost(w http.ResponseWriter, r *http.Request) {
 	sc := getScratch()
 	defer putScratch(sc)
-	body, err := readAllInto(sc.body, r.Body)
-	sc.body = body
-	if err != nil {
-		s.countBadRequest()
-		writeError(w, http.StatusBadRequest, "invalid request body: "+err.Error())
+	body, ok := s.readBody(w, r, sc)
+	if !ok {
 		return
 	}
 	var req Request
@@ -277,6 +273,24 @@ func queryUnescape(s string) (string, bool) {
 	return u, err == nil
 }
 
+// readBody reads the request body into the scratch. On failure it answers
+// the request itself — 413 for a body over the size bound, 400 for any other
+// read error, both counted as bad requests — and reports false.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, sc *reqScratch) ([]byte, bool) {
+	body, err := readAllInto(sc.body, r.Body)
+	sc.body = body
+	if err == nil {
+		return body, true
+	}
+	status := http.StatusBadRequest
+	if errors.Is(err, errBodyTooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	s.countBadRequest()
+	writeError(w, status, "invalid request body: "+err.Error())
+	return nil, false
+}
+
 func (s *Server) countBadRequest() {
 	s.errors.Inc()
 	s.errInput.Inc()
@@ -334,9 +348,12 @@ func (s *Server) serveRecommend(w http.ResponseWriter, r *http.Request, req Requ
 	}
 	sc.enc = EncodeResponse(sc.enc[:0], &resp)
 	// Record before responding, so a retry racing the response sees it
-	// (the table copies the body out of the scratch buffer).
+	// (the table copies the body out of the scratch buffer). The insert is
+	// billed to store, like the lookup that opened the request.
 	if id != nil {
+		sp.Cut(obs.StageEncode)
 		s.replay.insert(id, sc.enc)
+		sp.Cut(obs.StageStore)
 	}
 	w.Header()["Content-Type"] = contentTypeJSON
 	w.WriteHeader(http.StatusOK)

@@ -161,13 +161,12 @@ func splitLabelPairs(s string) []string {
 }
 
 // TestPromExpositionConformance is the promlint-style satellite: scrape the
-// full /metrics.prom of a server with every subsystem enabled (batcher,
-// cache, slow log, SLO engine) and lint naming, type lines, histogram bucket
+// full /metrics.prom of a server with every subsystem enabled (cache, slow
+// log, SLO engine, quality loop) and lint naming, type lines, histogram bucket
 // monotonicity, and the presence of the new serenade_slo_* and health
 // families.
 func TestPromExpositionConformance(t *testing.T) {
 	s := testServer(t, Config{
-		BatchWindow:         100 * time.Microsecond,
 		ResultCacheSize:     64,
 		SlowQueryThreshold:  time.Nanosecond, // everything is "slow": exercises the slowlog counters
 		SLOLatencyThreshold: time.Millisecond,
@@ -217,7 +216,6 @@ func TestPromExpositionConformance(t *testing.T) {
 		"serenade_slowlog_entries_total":         false,
 		"serenade_slowlog_suppressed_total":      false,
 		"serenade_result_cache_hit_ratio":        false,
-		"serenade_batcher_wait_max_seconds":      false,
 		"serenade_quality_exposures_total":       false,
 		"serenade_quality_clicks_total":          false,
 		"serenade_quality_conversions_total":     false,
@@ -243,15 +241,16 @@ func TestPromExpositionConformance(t *testing.T) {
 		}
 	}
 
-	// The batch_wait stage histogram must expose observations.
-	var batchWaitCount float64
+	// With the cache on, the request that ran the kernel still reports the
+	// candidates/score split.
+	var candidatesCount float64
 	for _, sm := range samples {
-		if sm.name == "serenade_stage_latency_seconds_count" && sm.labels["stage"] == "batch_wait" {
-			batchWaitCount = sm.value
+		if sm.name == "serenade_stage_latency_seconds_count" && sm.labels["stage"] == "candidates" {
+			candidatesCount = sm.value
 		}
 	}
-	if batchWaitCount == 0 {
-		t.Error("batch_wait stage histogram has no observations")
+	if candidatesCount == 0 {
+		t.Error("candidates stage histogram has no observations on a caching server")
 	}
 
 	checkHistogramBuckets(t, samples)

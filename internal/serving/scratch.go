@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"errors"
 	"io"
 	"sync"
 
@@ -19,8 +20,8 @@ import (
 // released (deferred) only after the response bytes have been handed to the
 // ResponseWriter, so nothing downstream may retain a reference past the
 // handler's return. Everything that must outlive the request — the session
-// key, kvstore values, cache entries, batch results published to other
-// requests — is copied out by its owner (kvstore.Put, resultCache.fill,
+// key, kvstore values, cache entries published to other requests — is
+// copied out by its owner (kvstore.Put, resultCache.fill,
 // quality.RecordExposure all copy).
 type reqScratch struct {
 	// dec is the reusable JSON scanner; its internal unescape buffer
@@ -60,13 +61,30 @@ var scratchPool = sync.Pool{New: func() any {
 func getScratch() *reqScratch   { return scratchPool.Get().(*reqScratch) }
 func putScratch(sc *reqScratch) { scratchPool.Put(sc) }
 
+// maxRequestBody bounds a request body: one that fills this many bytes is
+// refused. Real recommend and track bodies are under 100 bytes; the bound
+// keeps an oversized POST from growing a pooled scratch buffer that every
+// later request would carry.
+const maxRequestBody = 64 << 10
+
+// errBodyTooLarge is readAllInto's answer to a body of maxRequestBody bytes
+// or more.
+var errBodyTooLarge = errors.New("body exceeds 64 KiB")
+
 // readAllInto reads r to EOF into dst's backing array (growing it only when
-// the body exceeds the retained capacity) and returns the filled slice.
+// the body exceeds the retained capacity) and returns the filled slice. The
+// capacity never grows past maxRequestBody: a body that fills it fails with
+// errBodyTooLarge.
 func readAllInto(dst []byte, r io.Reader) ([]byte, error) {
 	dst = dst[:0]
 	for {
 		if len(dst) == cap(dst) {
-			dst = append(dst, 0)[:len(dst)]
+			if len(dst) >= maxRequestBody {
+				return dst, errBodyTooLarge
+			}
+			grown := make([]byte, len(dst), min(max(2*cap(dst), 512), maxRequestBody))
+			copy(grown, dst)
+			dst = grown
 		}
 		n, err := r.Read(dst[len(dst):cap(dst)])
 		dst = dst[:len(dst)+n]

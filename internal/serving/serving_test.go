@@ -3,6 +3,7 @@ package serving
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 
 	"serenade/internal/core"
 	"serenade/internal/index"
+	"serenade/internal/obs/quality"
 	"serenade/internal/sessions"
 	"serenade/internal/synth"
 	"serenade/internal/trending"
@@ -557,6 +559,49 @@ func TestHTTPBadRequests(t *testing.T) {
 				t.Errorf("status = %d, want 400", resp.StatusCode)
 			}
 		})
+	}
+}
+
+// TestHTTPOversizedBody pins the request-body bound: a 1 MiB POST to either
+// body-reading endpoint is refused with 413 and counted as a bad request,
+// the next normal request is served, and no pooled scratch keeps a body
+// buffer larger than the bound.
+func TestHTTPOversizedBody(t *testing.T) {
+	s := testServer(t, Config{Quality: &quality.Options{Variant: "a"}})
+	h := s.Handler()
+	huge := bytes.Repeat([]byte(" "), 1<<20)
+	for _, path := range []string{"/v1/recommend", "/track"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", path, bytes.NewReader(huge)))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: 1 MiB body got status %d, want 413", path, rec.Code)
+		}
+	}
+	if got := s.errInput.Value(); got != 2 {
+		t.Errorf("bad_request count = %d, want 2", got)
+	}
+
+	body, _ := json.Marshal(Request{SessionKey: "u1", Item: popularItem(), Consent: true})
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/recommend", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("normal request after oversized ones got status %d", rec.Code)
+	}
+
+	var held []*reqScratch
+	for i := 0; i < 8; i++ {
+		sc := getScratch()
+		held = append(held, sc)
+		if c := cap(sc.body); c > maxRequestBody {
+			t.Errorf("pooled scratch body capacity %d exceeds the %d-byte bound", c, maxRequestBody)
+		}
+	}
+	for _, sc := range held {
+		putScratch(sc)
+	}
+	got, err := readAllInto(nil, bytes.NewReader(huge))
+	if !errors.Is(err, errBodyTooLarge) || cap(got) > maxRequestBody {
+		t.Errorf("readAllInto(1 MiB) = cap %d, err %v; want cap <= %d and errBodyTooLarge", cap(got), err, maxRequestBody)
 	}
 }
 

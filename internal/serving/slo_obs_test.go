@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"serenade/internal/obs"
 	"serenade/internal/obs/slo"
 )
 
@@ -86,10 +85,9 @@ func TestDebugSLOOverAndUnderBudget(t *testing.T) {
 }
 
 // TestHealthSignal checks the overload telemetry surface with every
-// contributor enabled: batching, result cache, and the SLO engine.
+// contributor enabled: result cache and the SLO engine.
 func TestHealthSignal(t *testing.T) {
 	s := testServer(t, Config{
-		BatchWindow:         200 * time.Microsecond,
 		ResultCacheSize:     64,
 		SLOLatencyThreshold: time.Nanosecond, // everything burns
 	})
@@ -112,9 +110,6 @@ func TestHealthSignal(t *testing.T) {
 	if h.CacheHitRatio1m <= 0 || h.CacheHitRatio1m > 1 {
 		t.Fatalf("20 identical depersonalised requests should mostly hit: ratio=%v", h.CacheHitRatio1m)
 	}
-	if h.BatchWaitMax1m <= 0 {
-		t.Fatalf("batch wait watermark empty despite batched traffic: %+v", h)
-	}
 	if !h.FastBurn || h.BurnRate < slo.FastBurnRate {
 		t.Fatalf("burn state missing from health: %+v", h)
 	}
@@ -133,56 +128,10 @@ func TestHealthSignal(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&decoded); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"in_flight", "batch_queue_depth", "batch_wait_max_1m_ns", "cache_hit_ratio_1m", "slo_burn_rate", "goroutines"} {
+	for _, key := range []string{"in_flight", "cache_hit_ratio_1m", "slo_burn_rate", "goroutines"} {
 		if _, ok := decoded[key]; !ok {
 			t.Errorf("/debug/health missing %q: %v", key, decoded)
 		}
-	}
-}
-
-// TestBatchWaitStageAttribution checks the batch_wait satellite: time spent
-// in the wait-window batcher shows up as its own stage (instead of silently
-// inflating score), the span carries the batched flag and batch size, and the
-// partition invariant — stages sum to ≈ total — survives the split.
-func TestBatchWaitStageAttribution(t *testing.T) {
-	window := 2 * time.Millisecond
-	s := testServer(t, Config{BatchWindow: window, TraceSampleEvery: 1})
-	if _, err := s.Recommend(Request{SessionKey: "u1", Item: popularItem(), Consent: true}); err != nil {
-		t.Fatal(err)
-	}
-
-	// A lone request waits out the full gather window, so batch_wait must be
-	// at least that.
-	st := s.Stats()
-	var found bool
-	for _, sg := range st.Stages {
-		if sg.Stage == "batch_wait" {
-			found = true
-			if sg.MeanLatency < window {
-				t.Errorf("batch_wait mean %v < gather window %v", sg.MeanLatency, window)
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("no batch_wait stage in %+v", st.Stages)
-	}
-
-	spans := s.Tracer().Recent()
-	if len(spans) != 1 {
-		t.Fatalf("got %d traces, want 1", len(spans))
-	}
-	sp := spans[0]
-	if sp.BatchSize != 1 {
-		t.Errorf("batch size = %d, want 1", sp.BatchSize)
-	}
-	if names := sp.Flags.Names(); len(names) == 0 || names[len(names)-1] != "batched" {
-		t.Errorf("span flags = %v, want batched", names)
-	}
-	if sp.Stages[obs.StageBatchWait] < window {
-		t.Errorf("batch_wait stage = %v, want ≥%v", sp.Stages[obs.StageBatchWait], window)
-	}
-	if sum, total := sp.StageSum(), sp.Total; total-sum > total/10 {
-		t.Errorf("stage sum %v misses >10%% of total %v after split", sum, total)
 	}
 }
 
