@@ -44,7 +44,9 @@ bench-check:
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
 
-# Hot-path scoring kernel vs the retained map-based reference.
+# Hot-path scoring kernel vs the retained map-based reference, including
+# BenchmarkNeighborSessionsHot: candidate selection over 9 capped posting
+# lists, the shape of the harness's hot-long-closed workload.
 kernel-bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkRecommend|BenchmarkNeighborSessions' -benchmem ./internal/core
 

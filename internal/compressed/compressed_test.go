@@ -102,6 +102,48 @@ func TestRecommenderMatchesCore(t *testing.T) {
 	}
 }
 
+// TestRecommenderMatchesCoreTiedTimes runs the same differential on a synth
+// profile dense enough that many sessions share a one-second timestamp, with
+// M small enough that the walk evicts among them: the compressed walk and
+// core's merge must agree bitwise on neighbours and recommendations, with
+// early stopping on and off.
+func TestRecommenderMatchesCoreTiedTimes(t *testing.T) {
+	cfg := synth.Small(11)
+	cfg.NumSessions, cfg.Days = 6_000, 2
+	ds, err := synth.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := core.BuildIndex(ds, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := FromIndex(src)
+	for _, noEarlyStop := range []bool{false, true} {
+		p := core.Params{M: 50, K: 20, DisableEarlyStopping: noEarlyStop}
+		ref, err := core.NewRecommender(src, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comp, err := NewRecommender(c, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(12))
+		for trial := 0; trial < 300; trial++ {
+			q := make([]sessions.ItemID, 1+rng.Intn(6))
+			for i := range q {
+				q[i] = sessions.ItemID(rng.Intn(100))
+			}
+			a := append([]core.Neighbor(nil), ref.NeighborSessions(q)...)
+			if b := comp.NeighborSessions(q); !reflect.DeepEqual(a, b) {
+				t.Fatalf("compressed neighbours disagree on %v:\n%v\nvs\n%v", q, a, b)
+			}
+		}
+		run(t, ref, comp, 13)
+	}
+}
+
 func run(t *testing.T, ref *core.Recommender, comp *Recommender, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))

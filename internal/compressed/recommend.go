@@ -36,6 +36,13 @@ type btEntry struct {
 	time int64
 }
 
+// olderThan orders recency-heap entries by (time, id), the order core pins
+// so that which of two same-second sessions survives eviction does not
+// depend on heap internals.
+func olderThan(a, b btEntry) bool {
+	return a.time < b.time || (a.time == b.time && a.id < b.id)
+}
+
 // NewRecommender validates parameters and returns a query executor over the
 // compressed index.
 func NewRecommender(idx *Index, p core.Params) (*Recommender, error) {
@@ -53,7 +60,7 @@ func NewRecommender(idx *Index, p core.Params) (*Recommender, error) {
 		dup:    make(map[sessions.ItemID]struct{}, p.MaxSessionLength),
 		scores: make(map[sessions.ItemID]float64, 256),
 	}
-	r.bt = dheap.NewWithCapacity(p.HeapArity, p.M, func(a, b btEntry) bool { return a.time < b.time })
+	r.bt = dheap.NewWithCapacity(p.HeapArity, p.M, olderThan)
 	r.topk = dheap.NewBounded(p.HeapArity, p.K, neighborLess)
 	return r, nil
 }
@@ -74,11 +81,16 @@ func withDefaults(p core.Params) core.Params {
 	return p
 }
 
+// neighborLess orders neighbours weakest-first by (score, time, id), the
+// tie order core pins.
 func neighborLess(a, b core.Neighbor) bool {
 	if a.Score != b.Score {
 		return a.Score < b.Score
 	}
-	return a.Time < b.Time
+	if a.Time != b.Time {
+		return a.Time < b.Time
+	}
+	return a.ID < b.ID
 }
 
 // Clone returns an independent Recommender sharing the immutable index.
@@ -129,7 +141,7 @@ func (r *Recommender) NeighborSessions(evolving []sessions.ItemID) []core.Neighb
 				continue
 			}
 			oldest, _ := r.bt.Peek()
-			if tj > oldest.time {
+			if olderThan(oldest, btEntry{id: j, time: tj}) {
 				delete(r.r, oldest.id)
 				r.r[j] = accum{score: pi, maxPos: int32(pos)}
 				r.bt.ReplaceRoot(btEntry{id: j, time: tj})

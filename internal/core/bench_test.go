@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"serenade/internal/sessions"
+	"serenade/internal/synth"
 )
 
 // Hot-path microbenchmarks for the dense scoring kernel, with the retained
@@ -77,6 +78,72 @@ func BenchmarkNeighborSessionsMapReference(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkNeighborSessionsHot measures candidate selection in the shape
+// of the benchmark harness's hot-long-closed workload: the ecom-60m-sim
+// profile's training days indexed at capacity 1000, and 20-click sessions
+// over its 64 most frequent items, so every query's 9-item tail is 9 long
+// posting lists, most at the cap. "kernel" is the merge, "reference" the
+// map-based walk it replaced.
+func BenchmarkNeighborSessionsHot(b *testing.B) {
+	cfg, err := synth.Profile("ecom-60m-sim")
+	if err != nil {
+		b.Fatal(err)
+	}
+	full, err := synth.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	idx, err := BuildIndex(sessions.Renumber(sessions.TemporalSplit(full, 1).Train), 1000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	queries := hotTails(idx, 256, 3)
+	p := Params{M: 500, K: 100}
+	kernel, err := NewRecommender(idx, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ref, err := NewReferenceRecommender(idx, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, impl := range []struct {
+		name string
+		run  func([]sessions.ItemID) []Neighbor
+	}{{"kernel", kernel.NeighborSessions}, {"reference", ref.NeighborSessions}} {
+		b.Run(impl.name, func(b *testing.B) {
+			impl.run(queries[0])
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				impl.run(queries[i%len(queries)])
+			}
+		})
+	}
+}
+
+// hotTails draws n sessions of 20 clicks over the index's 64 most frequent
+// items, the shape of the harness's hot-long-closed traffic: every 9-item
+// tail is 9 long posting lists.
+func hotTails(idx *Index, n int, seed int64) [][]sessions.ItemID {
+	hot := make([]sessions.ItemID, idx.NumItems())
+	for i := range hot {
+		hot[i] = sessions.ItemID(i)
+	}
+	slicesSortByDF(hot, idx.df)
+	hot = hot[:64]
+	rng := rand.New(rand.NewSource(seed))
+	queries := make([][]sessions.ItemID, n)
+	for i := range queries {
+		q := make([]sessions.ItemID, 20)
+		for j := range q {
+			q[j] = hot[rng.Intn(len(hot))]
+		}
+		queries[i] = q
+	}
+	return queries
 }
 
 func BenchmarkRecommend(b *testing.B) {

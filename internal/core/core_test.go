@@ -274,6 +274,9 @@ func TestMaxSessionLengthTruncation(t *testing.T) {
 	}
 }
 
+// TestNoOptVariantSameResults: the Figure 3(a) "VMIS-kNN-no-opt" row (the
+// reference walk on binary heaps without early stopping) and the kernel must
+// recommend the same items, or the ablation compares different answers.
 func TestNoOptVariantSameResults(t *testing.T) {
 	ds := randomDataset(rand.New(rand.NewSource(3)), 200, 50)
 	idx, err := BuildIndex(ds, 0)
@@ -281,7 +284,10 @@ func TestNoOptVariantSameResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := mustRecommender(t, idx, Params{M: 20, K: 10})
-	noopt := mustRecommender(t, idx, Params{M: 20, K: 10, HeapArity: 2, DisableEarlyStopping: true})
+	noopt, err := NewReferenceRecommender(idx, Params{M: 20, K: 10, HeapArity: 2, DisableEarlyStopping: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 200; trial++ {
 		evolving := randomEvolving(rng, 50)
@@ -318,7 +324,7 @@ func TestCloneSharesNoMutableState(t *testing.T) {
 	idx := mustIndex(t, randomDataset(rng, 150, 25), 0)
 	rec := mustRecommender(t, idx, Params{M: 12, K: 6})
 	clone := rec.Clone()
-	if clone.tab == rec.tab || clone.acc == rec.acc || clone.bt == rec.bt {
+	if clone.acc == rec.acc || &clone.heads[:1][0] == &rec.heads[:1][0] || &clone.nbrBuf[:1][0] == &rec.nbrBuf[:1][0] {
 		t.Fatal("Clone shares mutable kernel state with its origin")
 	}
 }
@@ -377,6 +383,31 @@ func TestNewIndexFromPartsValidation(t *testing.T) {
 	// wrong order
 	if _, err := NewIndexFromParts(times, [][]sessions.SessionID{{0, 1}}, sessionItems, df, 0); err == nil {
 		t.Error("ascending posting order accepted")
+	}
+}
+
+// TestNewIndexRejectsMergeViolations pins the load-time preconditions of
+// the candidate merge, which reads "larger id" as "more recent": timestamps
+// must not decrease in session id, and every posting list must be strictly
+// descending by id. Each case below passes a timestamp-only order check.
+func TestNewIndexRejectsMergeViolations(t *testing.T) {
+	items := [][]sessions.ItemID{{0}, {0, 1}}
+	for _, tc := range []struct {
+		name     string
+		times    []int64
+		postings [][]sessions.SessionID
+		df       []int32
+	}{
+		{"times decrease in id", []int64{200, 100}, [][]sessions.SessionID{{0}, {1}}, []int32{1, 1}},
+		{"repeated posting id", []int64{100, 200}, [][]sessions.SessionID{{1, 1}, {1}}, []int32{2, 1}},
+		{"ascending ids at equal times", []int64{100, 100}, [][]sessions.SessionID{{0, 1}, {1}}, []int32{2, 1}},
+	} {
+		if _, err := NewIndexFromParts(tc.times, tc.postings, items, tc.df, 0); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	if _, err := NewIndexFromParts([]int64{100, 100}, [][]sessions.SessionID{{1, 0}, {1}}, items, []int32{2, 1}, 0); err != nil {
+		t.Errorf("equal timestamps with descending ids rejected: %v", err)
 	}
 }
 

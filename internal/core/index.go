@@ -266,8 +266,10 @@ func NewIndexFromParts(times []int64, postings [][]sessions.SessionID, sessionIt
 // zero-copy constructor behind the v2 file format: the slices may alias an
 // mmap region described by arena, and nothing is copied. It validates every
 // structural invariant Recommend relies on (offset monotonicity and bounds,
-// posting ids in range and in descending timestamp order, item ids in range,
-// plausible document frequencies, the posting remap a permutation) without
+// timestamps non-decreasing in session id, posting ids in range and strictly
+// descending — which the candidate merge needs to read "larger id" as "more
+// recent" — item ids in range, plausible document frequencies, the posting
+// remap a permutation) without
 // allocating — except a transient row-seen bitmap when a remap is present —
 // so a file-backed load stays O(1) in allocations no matter how large the
 // index. A nil c.IDF is recomputed from the document frequencies; a provided
@@ -289,6 +291,11 @@ func NewIndexFromCSR(c CSR, capacity int, arena Arena) (*Index, error) {
 	}
 	if err := checkOffsets(c.SessionItemOffsets, len(c.SessionItemData), "session-item"); err != nil {
 		return nil, err
+	}
+	for s := 1; s < numSessions; s++ {
+		if c.Times[s] < c.Times[s-1] {
+			return nil, fmt.Errorf("core: session %d is older than session %d (ids must ascend with time)", s, s-1)
+		}
 	}
 	if c.PostingRemap != nil {
 		if len(c.PostingRemap) != numItems {
@@ -323,8 +330,8 @@ func NewIndexFromCSR(c CSR, capacity int, arena Arena) (*Index, error) {
 			if int(sid) >= numSessions {
 				return nil, fmt.Errorf("core: posting list of item %d references unknown session %d", item, sid)
 			}
-			if k > lo && c.Times[c.PostingData[k-1]] < c.Times[sid] {
-				return nil, fmt.Errorf("core: posting list of item %d is not in descending timestamp order", item)
+			if k > lo && c.PostingData[k-1] <= sid {
+				return nil, fmt.Errorf("core: posting list of item %d is not strictly descending by session id", item)
 			}
 		}
 	}

@@ -2,173 +2,87 @@ package core
 
 import "serenade/internal/sessions"
 
-// This file implements the dense, epoch-stamped data structures behind the
-// zero-allocation VMIS-kNN query kernel (see DESIGN.md, "Dense scoring
-// kernel"). The index hands out dense integer session and item identifiers,
-// so the per-query temporaries of Algorithm 2 need none of the hashing,
-// bucket chasing, and incremental growth of Go's built-in maps:
+// This file implements the dense data structures behind the zero-allocation
+// VMIS-kNN query kernel (see DESIGN.md, "Dense scoring kernel"). The index
+// hands out dense integer session and item identifiers, with session ids
+// ascending in time, so the per-query temporaries of Algorithm 2 need none of
+// the hashing, heaps and bucket chasing of the map-based reference:
 //
-//   - the candidate accumulator r (session -> similarity-in-progress) becomes
-//     a fixed-size open-addressed probe table of 2·M slots — O(M), NOT
-//     O(numSessions), since an index can hold 10⁸ sessions while M stays in
-//     the hundreds and the table stays cache-resident;
+//   - candidate selection is a k-way merge over the heads of the tail items'
+//     posting lists, each sorted by descending session id: it emits the M
+//     most recent distinct sessions of their union, each with its full
+//     score, and touches nothing but the postings it consumes;
 //   - the item score accumulator becomes a flat []float64 over the dense
-//     item-id space with a touched-list for sparse O(hits) reset;
-//   - per-query clearing is an epoch-stamp bump instead of an O(size) wipe.
+//     item-id space with a touched-list for sparse O(hits) reset.
 
-// probeSlot is one entry of the candidate probe table: the accumulator state
-// of the map r of Algorithm 2 for one candidate session.
-type probeSlot struct {
-	key    sessions.SessionID
-	stamp  uint32 // slot is live iff stamp == table epoch
-	maxPos int32
-	score  float64
+// postingHead is one distinct tail item's posting list in the candidate
+// merge: the unconsumed suffix of the list (descending session id), the
+// item's decay weight π and its 1-based position in the evolving session.
+type postingHead struct {
+	postings []sessions.SessionID
+	pi       float64
+	item     sessions.ItemID
+	pos      int32
 }
 
-// probeSlotBytes is the in-memory size of a probeSlot, for footprint
-// accounting (4+4+4 bytes of fields padded to 8-byte alignment of score).
-const probeSlotBytes = 24
+// postingHeadBytes is the in-memory size of a postingHead, for footprint
+// accounting (a 24-byte slice header, 8 bytes of pi, 4+4 of item and pos).
+const postingHeadBytes = 40
 
-// probeTable is a fixed-capacity open-addressed hash table from session id
-// to accumulator state, using linear probing with backward-shift deletion.
-// It holds at most maxLive entries in a power-of-two slot array at least
-// twice that size, so probe chains stay short and there is always an empty
-// slot to terminate scans. Clearing is O(1): bumping the epoch invalidates
-// every slot's stamp at once (with a full stamp wipe only on the ~4-billion
-// query epoch wraparound).
-type probeTable struct {
-	slots   []probeSlot
-	mask    uint32
-	shift   uint32 // 64 - log2(len(slots)), for the multiplicative hash
-	epoch   uint32
-	live    int
-	maxLive int
-}
-
-// newProbeTable sizes the table for at most maxLive simultaneous entries:
-// the next power of two ≥ 2·maxLive (minimum 4 slots).
-func newProbeTable(maxLive int) *probeTable {
-	size := 4
-	shift := uint32(62)
-	for size < 2*maxLive {
-		size <<= 1
-		shift--
+// mergeNeighbors appends to ns, most recent first, the at most m most recent
+// distinct sessions in the union of the heads' posting lists, and consumes
+// the heads. Each session's score sums π over the lists containing it in
+// list order, and its MaxPos is the position of the first such list — the
+// same float sums, in the same order, as Algorithm 2's candidate loop. That
+// loop's result is exactly this set: an evicted or rejected session is older
+// than every survivor, and a survivor is admitted at its first posting and
+// never evicted, so it collects every contribution. Ids ascend with time, so
+// "most recent" is "largest id", and timestamps are read only for the
+// sessions that come out.
+func mergeNeighbors(ns []Neighbor, heads []postingHead, m int, times []int64) []Neighbor {
+	for len(ns) < m && len(heads) > 0 {
+		best, id := 0, heads[0].postings[0]
+		for i := 1; i < len(heads); i++ {
+			if h := heads[i].postings[0]; h > id {
+				best, id = i, h
+			}
+		}
+		maxPos := heads[best].pos
+		score := 0.0
+		live := best
+		for i := best; i < len(heads); i++ {
+			h := &heads[i]
+			if h.postings[0] == id {
+				score += h.pi
+				h.postings = h.postings[1:]
+				if len(h.postings) == 0 {
+					continue // exhausted: drop it, keeping list order
+				}
+			}
+			if live != i {
+				heads[live] = *h
+			}
+			live++
+		}
+		heads = heads[:live]
+		ns = append(ns, Neighbor{ID: id, Score: score, MaxPos: int(maxPos), Time: times[id]})
 	}
-	return &probeTable{
-		slots:   make([]probeSlot, size),
-		mask:    uint32(size - 1),
-		shift:   shift,
-		epoch:   1,
-		maxLive: maxLive,
-	}
-}
-
-// home is the preferred slot of a key: a Fibonacci multiplicative hash
-// folded into the table's power-of-two range.
-func (t *probeTable) home(key sessions.SessionID) uint32 {
-	return uint32((uint64(key) * 0x9E3779B97F4A7C15) >> t.shift)
-}
-
-// reset invalidates all entries in O(1) by starting a new epoch.
-func (t *probeTable) reset() {
-	t.epoch++
-	if t.epoch == 0 {
-		// Wrapped: stale stamps could collide with the restarted epoch
-		// sequence, so wipe them once and skip the never-live value 0.
-		for i := range t.slots {
-			t.slots[i].stamp = 0
-		}
-		t.epoch = 1
-	}
-	t.live = 0
-}
-
-// len reports the number of live entries.
-func (t *probeTable) len() int { return t.live }
-
-// find returns the live slot holding key, or nil. The pointer is valid until
-// the next insert or delete.
-func (t *probeTable) find(key sessions.SessionID) *probeSlot {
-	i := t.home(key)
-	for {
-		sl := &t.slots[i]
-		if sl.stamp != t.epoch {
-			return nil
-		}
-		if sl.key == key {
-			return sl
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
-// insert adds an absent key with its initial accumulator state. The caller
-// must ensure key is not present and the table holds fewer than maxLive
-// entries (the M-bounded candidate loop guarantees both).
-func (t *probeTable) insert(key sessions.SessionID, score float64, maxPos int32) {
-	i := t.home(key)
-	for t.slots[i].stamp == t.epoch {
-		i = (i + 1) & t.mask
-	}
-	t.slots[i] = probeSlot{key: key, stamp: t.epoch, maxPos: maxPos, score: score}
-	t.live++
-}
-
-// delete removes a key using backward-shift deletion, which preserves the
-// linear-probing invariant without tombstones: entries after the vacated
-// slot are shifted back unless that would move them before their home slot.
-func (t *probeTable) delete(key sessions.SessionID) {
-	i := t.home(key)
-	for {
-		sl := &t.slots[i]
-		if sl.stamp != t.epoch {
-			return // absent; cannot happen for the eviction call-site
-		}
-		if sl.key == key {
-			break
-		}
-		i = (i + 1) & t.mask
-	}
-	j := i
-	for {
-		j = (j + 1) & t.mask
-		sl := &t.slots[j]
-		if sl.stamp != t.epoch {
-			break
-		}
-		// The entry at j may fill slot i only if its home does not lie in
-		// the cyclic interval (i, j] — otherwise the move would place it
-		// before its home and break lookups.
-		h := t.home(sl.key)
-		var movable bool
-		if i <= j {
-			movable = h <= i || h > j
-		} else {
-			movable = h <= i && h > j
-		}
-		if movable {
-			t.slots[i] = *sl
-			i = j
-		}
-	}
-	t.slots[i].stamp = t.epoch - 1 // any value != epoch marks the slot empty
-	t.live--
-}
-
-// footprint reports the table's in-memory size in bytes.
-func (t *probeTable) footprint() int64 {
-	return int64(len(t.slots)) * probeSlotBytes
+	return ns
 }
 
 // neighborBetter reports whether a ranks strictly before b in the descending
 // neighbour order: higher similarity first, and the more recent session
-// first on equal similarity — the same total order the reference path's
-// bounded heap realises (Algorithm 2 lines 37-38).
+// first on equal similarity (Algorithm 2 lines 37-38), recency meaning
+// (time, id) so that same-second sessions order too. It is the same total
+// order the reference path's bounded heap realises.
 func neighborBetter(a, b Neighbor) bool {
 	if a.Score != b.Score {
 		return a.Score > b.Score
 	}
-	return a.Time > b.Time
+	if a.Time != b.Time {
+		return a.Time > b.Time
+	}
+	return a.ID > b.ID
 }
 
 // selectTopNeighbors partially partitions ns so its first k elements are the

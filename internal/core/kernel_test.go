@@ -7,151 +7,72 @@ import (
 	"serenade/internal/sessions"
 )
 
-func TestProbeTableSizing(t *testing.T) {
-	for _, tc := range []struct{ m, size int }{
-		{1, 4}, {2, 4}, {3, 8}, {100, 256}, {500, 1024}, {1500, 4096},
-	} {
-		tab := newProbeTable(tc.m)
-		if len(tab.slots) != tc.size {
-			t.Errorf("newProbeTable(%d): %d slots, want %d", tc.m, len(tab.slots), tc.size)
-		}
-		if len(tab.slots)&(len(tab.slots)-1) != 0 {
-			t.Errorf("newProbeTable(%d): size %d is not a power of two", tc.m, len(tab.slots))
-		}
-	}
-}
-
-func TestProbeTableInsertFindDelete(t *testing.T) {
-	tab := newProbeTable(8)
-	tab.reset()
-	for i := 0; i < 8; i++ {
-		tab.insert(sessions.SessionID(i*7), float64(i)+0.5, int32(i))
-	}
-	if tab.len() != 8 {
-		t.Fatalf("len = %d, want 8", tab.len())
-	}
-	for i := 0; i < 8; i++ {
-		sl := tab.find(sessions.SessionID(i * 7))
-		if sl == nil {
-			t.Fatalf("key %d not found", i*7)
-		}
-		if sl.score != float64(i)+0.5 || sl.maxPos != int32(i) {
-			t.Errorf("key %d: got (%v,%d), want (%v,%d)", i*7, sl.score, sl.maxPos, float64(i)+0.5, i)
-		}
-	}
-	if tab.find(999) != nil {
-		t.Error("absent key found")
-	}
-	tab.delete(3 * 7)
-	if tab.find(3*7) != nil {
-		t.Error("deleted key still found")
-	}
-	if tab.len() != 7 {
-		t.Errorf("len after delete = %d, want 7", tab.len())
-	}
-	for i := 0; i < 8; i++ {
-		if i == 3 {
-			continue
-		}
-		if tab.find(sessions.SessionID(i*7)) == nil {
-			t.Errorf("key %d lost after unrelated delete", i*7)
-		}
-	}
-}
-
-func TestProbeTableReset(t *testing.T) {
-	tab := newProbeTable(4)
-	tab.reset()
-	tab.insert(1, 1, 1)
-	tab.insert(2, 2, 2)
-	tab.reset()
-	if tab.len() != 0 {
-		t.Errorf("len after reset = %d, want 0", tab.len())
-	}
-	if tab.find(1) != nil || tab.find(2) != nil {
-		t.Error("stale entries visible after reset")
-	}
-	tab.insert(1, 9, 9)
-	if sl := tab.find(1); sl == nil || sl.score != 9 {
-		t.Error("re-insert after reset failed")
-	}
-}
-
-// TestProbeTableEpochWraparound forces the uint32 epoch to wrap and checks
-// that stale stamps cannot masquerade as live entries afterwards.
-func TestProbeTableEpochWraparound(t *testing.T) {
-	tab := newProbeTable(4)
-	tab.epoch = ^uint32(0) - 1 // two resets away from wrapping
-	tab.reset()
-	tab.insert(42, 1, 1)
-	tab.reset() // wraps: stamps wiped, epoch restarts at 1
-	if tab.epoch != 1 {
-		t.Fatalf("epoch after wrap = %d, want 1", tab.epoch)
-	}
-	if tab.find(42) != nil {
-		t.Error("pre-wrap entry visible after wraparound reset")
-	}
-	tab.insert(7, 3, 3)
-	if sl := tab.find(7); sl == nil || sl.score != 3 {
-		t.Error("insert after wraparound failed")
-	}
-}
-
-// TestProbeTableAgainstMap drives the table with a randomized insert /
-// accumulate / delete workload mirroring the eviction-heavy candidate loop,
-// checking every operation against a plain map oracle. This exercises the
-// backward-shift deletion's cyclic-interval logic under collision-heavy
-// keys (multiples of the table size hash near one another).
-func TestProbeTableAgainstMap(t *testing.T) {
+// TestMergeNeighborsAgainstMap drives the posting-list merge with random
+// descending lists (shared sessions, empty-after-one lists, m both above and
+// below the union size) and checks it against a plain map oracle of the
+// union: the m largest ids, each scored by summing π over its lists in list
+// order, with MaxPos from the first list containing it.
+func TestMergeNeighborsAgainstMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	const maxLive = 16
-	tab := newProbeTable(maxLive)
-	oracle := map[sessions.SessionID]float64{}
-	var live []sessions.SessionID
-
-	for round := 0; round < 200; round++ {
-		tab.reset()
-		clear(oracle)
-		live = live[:0]
-		for op := 0; op < 300; op++ {
-			key := sessions.SessionID(rng.Intn(64))
-			if sl := tab.find(key); sl != nil {
-				if _, ok := oracle[key]; !ok {
-					t.Fatalf("round %d: table has %d, oracle does not", round, key)
+	times := make([]int64, 64)
+	for i := range times {
+		times[i] = int64(i / 3) // ties: timestamps never order the merge
+	}
+	for round := 0; round < 500; round++ {
+		var heads []postingHead
+		type acc struct {
+			score  float64
+			maxPos int
+		}
+		oracle := map[sessions.SessionID]*acc{}
+		for pos := 1 + rng.Intn(9); pos >= 1; pos-- {
+			var list []sessions.SessionID
+			for id := 63; id >= 0; id-- {
+				if rng.Intn(4) == 0 {
+					list = append(list, sessions.SessionID(id))
 				}
-				sl.score += 1
-				oracle[key] += 1
+			}
+			if len(list) == 0 {
 				continue
 			}
-			if _, ok := oracle[key]; ok {
-				t.Fatalf("round %d: oracle has %d, table does not", round, key)
-			}
-			if tab.len() == maxLive {
-				victim := live[rng.Intn(len(live))]
-				tab.delete(victim)
-				delete(oracle, victim)
-				for i, k := range live {
-					if k == victim {
-						live[i] = live[len(live)-1]
-						live = live[:len(live)-1]
-						break
-					}
+			pi := rng.Float64()
+			heads = append(heads, postingHead{postings: list, pi: pi, item: sessions.ItemID(pos), pos: int32(pos)})
+			for _, id := range list {
+				if a, ok := oracle[id]; ok {
+					a.score += pi
+				} else {
+					oracle[id] = &acc{score: pi, maxPos: pos}
 				}
 			}
-			tab.insert(key, 1, int32(op))
-			oracle[key] = 1
-			live = append(live, key)
 		}
-		if tab.len() != len(oracle) {
-			t.Fatalf("round %d: len %d != oracle %d", round, tab.len(), len(oracle))
+		m := 1 + rng.Intn(40)
+		got := mergeNeighbors(nil, heads, m, times)
+		want := min(m, len(oracle))
+		if len(got) != want {
+			t.Fatalf("round %d: %d neighbours, want %d", round, len(got), want)
 		}
-		for key, want := range oracle {
-			sl := tab.find(key)
-			if sl == nil {
-				t.Fatalf("round %d: key %d missing", round, key)
+		for i, nb := range got {
+			if i > 0 && nb.ID >= got[i-1].ID {
+				t.Fatalf("round %d: ids not strictly descending at %d: %d after %d", round, i, nb.ID, got[i-1].ID)
 			}
-			if sl.score != want {
-				t.Fatalf("round %d: key %d score %v, want %v", round, key, sl.score, want)
+			a := oracle[nb.ID]
+			if a == nil || nb.Score != a.score || nb.MaxPos != a.maxPos || nb.Time != times[nb.ID] {
+				t.Fatalf("round %d: neighbour %+v, oracle %+v", round, nb, a)
+			}
+		}
+		// Everything left out is older than everything emitted.
+		if len(got) > 0 {
+			floor := got[len(got)-1].ID
+			for id := range oracle {
+				if id > floor {
+					found := false
+					for _, nb := range got {
+						found = found || nb.ID == id
+					}
+					if !found {
+						t.Fatalf("round %d: session %d is more recent than the merge's last pick %d but missing", round, id, floor)
+					}
+				}
 			}
 		}
 	}

@@ -64,12 +64,18 @@ type Params struct {
 	// MatchWeight is the neighbour match weight λ; nil means
 	// LinearMatchWeight.
 	MatchWeight MatchWeightFunc
-	// HeapArity is the branching factor of the recency and top-k heaps.
-	// The paper uses octonary heaps (8) as a micro-optimisation; the
-	// VMIS-kNN-no-opt baseline uses binary heaps (2). Zero means 8.
+	// HeapArity is the branching factor of the recency and top-k heaps of
+	// Algorithm 2's walk. The paper uses octonary heaps (8) as a
+	// micro-optimisation; the VMIS-kNN-no-opt baseline uses binary heaps
+	// (2). Zero means 8. It configures the walking executors only
+	// (ReferenceRecommender and those of internal/compressed and
+	// internal/incremental): Recommender selects candidates by merging
+	// posting lists and has no heap.
 	HeapArity int
-	// DisableEarlyStopping turns off the posting-list early-stop
+	// DisableEarlyStopping turns off the walk's posting-list early-stop
 	// optimisation; used only by the VMIS-kNN-no-opt baseline of §5.1.3.
+	// Like HeapArity it configures the walking executors only; the result
+	// is the same either way.
 	DisableEarlyStopping bool
 	// Float32Scores switches the item-score accumulator from float64 to
 	// float32, halving its footprint and memory traffic. Scores keep ~7

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"serenade/internal/sessions"
+	"serenade/internal/synth"
 )
 
 // TestRecommendInvariantsProperty checks the output contract on random
@@ -110,7 +111,7 @@ func TestNeighborInvariantsProperty(t *testing.T) {
 
 // assertSameRecommendations fails unless the dense kernel and the map-based
 // reference produced the same ranked output: identical items in identical
-// (tie-break) order, scores within 1e-12.
+// (tie-break) order, bitwise-identical scores.
 func assertSameRecommendations(t *testing.T, q []sessions.ItemID, dense, ref []ScoredItem) {
 	t.Helper()
 	if len(dense) != len(ref) {
@@ -122,7 +123,7 @@ func assertSameRecommendations(t *testing.T, q []sessions.ItemID, dense, ref []S
 			t.Fatalf("query %v: rank %d is item %d (dense) vs %d (reference)",
 				q, i, dense[i].Item, ref[i].Item)
 		}
-		if math.Abs(dense[i].Score-ref[i].Score) > 1e-12 {
+		if dense[i].Score != ref[i].Score {
 			t.Fatalf("query %v: item %d scored %v (dense) vs %v (reference)",
 				q, dense[i].Item, dense[i].Score, ref[i].Score)
 		}
@@ -130,8 +131,8 @@ func assertSameRecommendations(t *testing.T, q []sessions.ItemID, dense, ref []S
 }
 
 // assertSameNeighbors fails unless both implementations agreed on the
-// neighbour list: ids, match positions, timestamps, and order identical,
-// similarities within 1e-12.
+// neighbour list: ids, match positions, timestamps, order and (bitwise)
+// similarities identical.
 func assertSameNeighbors(t *testing.T, q []sessions.ItemID, dense, ref []Neighbor) {
 	t.Helper()
 	if len(dense) != len(ref) {
@@ -143,7 +144,7 @@ func assertSameNeighbors(t *testing.T, q []sessions.ItemID, dense, ref []Neighbo
 		if d.ID != r.ID || d.MaxPos != r.MaxPos || d.Time != r.Time {
 			t.Fatalf("query %v: neighbour %d is %+v (dense) vs %+v (reference)", q, i, d, r)
 		}
-		if math.Abs(d.Score-r.Score) > 1e-12 {
+		if d.Score != r.Score {
 			t.Fatalf("query %v: session %d similarity %v (dense) vs %v (reference)",
 				q, d.ID, d.Score, r.Score)
 		}
@@ -156,18 +157,33 @@ func assertSameNeighbors(t *testing.T, q []sessions.ItemID, dense, ref []Neighbo
 // early stopping, and with alternating output lengths n exercising the
 // grow-and-reuse output heap — the dense kernel must return exactly what the
 // retained map-based implementation returns. Timestamps are strictly
-// increasing per dataset, so (score, time) ties cannot occur and the ranked
-// output is fully deterministic.
+// increasing per dataset, so only score ties can occur;
+// TestDenseKernelMatchesReferenceTiedTimes covers equal timestamps.
 func TestDenseKernelMatchesReferenceProperty(t *testing.T) {
+	checkKernelMatchesReference(t, randomDataset)
+}
+
+// TestDenseKernelMatchesReferenceTiedTimes is the differential property test
+// on coarse timestamps: many sessions share a second, so the reference's
+// recency heap and eviction see equal times on nearly every comparison and
+// neighbour similarities tie on (score, time). The (time, id) recency pin
+// must make the walk and the merge pick the same sessions, and the
+// (score, time, id) neighbour pin the same top k.
+func TestDenseKernelMatchesReferenceTiedTimes(t *testing.T) {
+	checkKernelMatchesReference(t, tiedDataset)
+}
+
+func checkKernelMatchesReference(t *testing.T, gen func(*rand.Rand, int, int) *sessions.Dataset) {
+	t.Helper()
 	prop := func(seed int64, mSeed, kSeed, nSeed uint8, noEarlyStop bool) bool {
 		rng := rand.New(rand.NewSource(seed))
-		ds := randomDataset(rng, 100+rng.Intn(300), 10+rng.Intn(40))
+		ds := gen(rng, 100+rng.Intn(300), 10+rng.Intn(40))
 		idx, err := BuildIndex(ds, 0)
 		if err != nil {
 			return false
 		}
-		// Small M relative to the dataset keeps the recency heap full, so
-		// the probe table's delete path (eviction) runs constantly.
+		// Small M relative to the dataset keeps the reference's recency
+		// heap full, so its eviction path runs constantly.
 		m := int(mSeed)%25 + 1
 		k := int(kSeed)%m + 1
 		n := int(nSeed)%30 + 1
@@ -265,6 +281,69 @@ func TestMonotoneMProperty(t *testing.T) {
 			if ls, ok := byID[nb.ID]; ok && ls < nb.Score-1e-12 {
 				t.Fatalf("session %d scored %v with m=10 but %v with m=100", nb.ID, nb.Score, ls)
 			}
+		}
+	}
+}
+
+// tiedDataset is randomDataset on one-"second" resolution: sessions arrive a
+// few per tick, so runs of sessions share a timestamp, and within a session
+// every click shares it too.
+func tiedDataset(rng *rand.Rand, n, vocab int) *sessions.Dataset {
+	var ss []sessions.Session
+	tick := int64(1000)
+	for i := 0; i < n; i++ {
+		if rng.Intn(4) == 0 {
+			tick++
+		}
+		length := 2 + rng.Intn(6)
+		items := make([]sessions.ItemID, length)
+		times := make([]int64, length)
+		for j := range items {
+			items[j] = sessions.ItemID(rng.Intn(vocab))
+			times[j] = tick
+		}
+		ss = append(ss, sessions.Session{ID: sessions.SessionID(i), Items: items, Times: times})
+	}
+	return sessions.FromSessions("tied", ss)
+}
+
+// TestKernelMatchesReferenceOnSynthData is the bitwise differential on
+// click-log-shaped data: a synth profile dense enough that many sessions
+// share a one-second timestamp, queried with every prefix of 400 held-out
+// sessions and with 100 long tails over the most frequent items (nine
+// capped posting lists per query). Kernel and reference, with early
+// stopping on and off, must return identical neighbours and top-n.
+func TestKernelMatchesReferenceOnSynthData(t *testing.T) {
+	cfg := synth.Small(401)
+	cfg.NumSessions, cfg.NumItems, cfg.Days = 12_000, 2_000, 4
+	full, err := synth.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	split := sessions.TemporalSplit(full, 1)
+	idx := mustIndex(t, sessions.Renumber(split.Train), 500)
+
+	var queries [][]sessions.ItemID
+	for _, s := range split.Test.Sessions[:400] {
+		for end := 1; end <= len(s.Items); end++ {
+			queries = append(queries, s.Items[:end])
+		}
+	}
+	queries = append(queries, hotTails(idx, 100, 402)...)
+
+	kernel := mustRecommender(t, idx, Params{M: 500, K: 100})
+	for _, noEarlyStop := range []bool{false, true} {
+		ref, err := NewReferenceRecommender(idx, Params{M: 500, K: 100, DisableEarlyStopping: noEarlyStop})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range queries {
+			assertSameNeighbors(t, q,
+				append([]Neighbor(nil), kernel.NeighborSessions(q)...),
+				ref.NeighborSessions(q))
+			assertSameRecommendations(t, q,
+				append([]ScoredItem(nil), kernel.Recommend(q, 21)...),
+				ref.Recommend(q, 21))
 		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"slices"
 
-	"serenade/internal/dheap"
 	"serenade/internal/sessions"
 )
 
@@ -22,14 +21,9 @@ type Neighbor struct {
 	Time int64
 }
 
-type btEntry struct {
-	id   sessions.SessionID
-	time int64
-}
-
-// Recommender executes VMIS-kNN queries against an Index using the dense,
-// epoch-stamped scoring kernel (see kernel.go): candidate accumulation runs
-// in a fixed 2·M-slot probe table, item scoring in a flat array over the
+// Recommender executes VMIS-kNN queries against an Index using the dense
+// scoring kernel (see kernel.go): candidate selection is a k-way merge over
+// the tail items' posting lists, item scoring runs in a flat array over the
 // dense item-id space, and every per-query temporary is reused, so a
 // steady-state query performs zero heap allocations. Per-Recommender memory
 // is O(M + numItems) — independent of the number of indexed sessions.
@@ -42,18 +36,16 @@ type Recommender struct {
 	idx *Index
 	p   Params
 
-	tab    *probeTable       // candidate accumulator r of Algorithm 2
-	seen   []sessions.ItemID // distinct evolving items (duplicate check)
-	bt     *dheap.Heap[btEntry]
-	nbrBuf []Neighbor
+	heads  []postingHead // one per distinct tail item, most recent first
+	nbrBuf []Neighbor    // the merge's ≤ M candidates, then the top K
 	acc    *itemAccumulator
 	outBuf []ScoredItem
 }
 
 // NewRecommender validates the parameters and returns a query executor. Its
 // kernel buffers are sized from the index (flat score array over the item-id
-// space) and the parameters (2·M-slot probe table), so construct it — or
-// Clone a prototype — per index generation.
+// space) and the parameters (M candidates), so construct it — or Clone a
+// prototype — per index generation.
 func NewRecommender(idx *Index, p Params) (*Recommender, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -62,26 +54,13 @@ func NewRecommender(idx *Index, p Params) (*Recommender, error) {
 		return nil, errMExceedsCapacity(p.M, idx.capacity)
 	}
 	p = p.withDefaults()
-	r := &Recommender{
-		idx:  idx,
-		p:    p,
-		tab:  newProbeTable(p.M),
-		seen: make([]sessions.ItemID, 0, p.MaxSessionLength),
-		acc:  newItemAccumulator(idx.numItems, p.Float32Scores),
-	}
-	r.bt = dheap.NewWithCapacity(p.HeapArity, p.M, func(a, b btEntry) bool { return a.time < b.time })
-	return r, nil
-}
-
-// neighborLess orders neighbours weakest-first for the bounded top-k heap:
-// lower similarity orders first; equal similarities break ties toward the
-// older session (so the more recent session is retained), per Algorithm 2
-// lines 37-38.
-func neighborLess(a, b Neighbor) bool {
-	if a.Score != b.Score {
-		return a.Score < b.Score
-	}
-	return a.Time < b.Time
+	return &Recommender{
+		idx:    idx,
+		p:      p,
+		heads:  make([]postingHead, 0, p.MaxSessionLength),
+		nbrBuf: make([]Neighbor, 0, p.M),
+		acc:    newItemAccumulator(idx.numItems, p.Float32Scores),
+	}, nil
 }
 
 // Clone returns an independent Recommender sharing the same immutable index,
@@ -105,15 +84,13 @@ func (r *Recommender) Index() *Index { return r.idx }
 
 // MemoryFootprint estimates the recommender's per-goroutine kernel buffer
 // size in bytes — the Index.MemoryFootprint counterpart for query state. It
-// is O(M + numItems) by construction: the probe table and heaps scale with
-// M/K, the flat score array with the item vocabulary, and nothing scales
-// with the number of indexed sessions.
+// is O(M + numItems) by construction: the candidate buffer scales with M,
+// the flat score array with the item vocabulary, and nothing scales with the
+// number of indexed sessions.
 func (r *Recommender) MemoryFootprint() int64 {
 	var b int64
-	b += r.tab.footprint()
 	b += r.acc.footprint()
-	b += int64(cap(r.seen)) * 4
-	b += int64(r.p.M) * 16         // bt heap storage: btEntry{id,time}
+	b += int64(cap(r.heads)) * postingHeadBytes
 	b += int64(cap(r.nbrBuf)) * 32 // neighbour collect/result buffer (≤ M)
 	b += int64(cap(r.outBuf)) * 16 // output collect/result buffer: ScoredItem
 	return b
@@ -128,114 +105,44 @@ func (r *Recommender) truncate(evolving []sessions.ItemID) []sessions.ItemID {
 	return evolving
 }
 
-// seenBefore reports whether item already occurred (at a more recent
-// position) in this query's intersection loop. A linear scan over at most
-// MaxSessionLength entries beats any hashed structure at this size and
-// allocates nothing.
-func (r *Recommender) seenBefore(item sessions.ItemID) bool {
-	for _, s := range r.seen {
-		if s == item {
-			return true
-		}
-	}
-	return false
-}
-
-// resetCandidates clears the per-query candidate state (probe table, seen
-// list, recency heap) ahead of an intersection loop.
-func (r *Recommender) resetCandidates() {
-	r.tab.reset()
-	r.seen = r.seen[:0]
-	r.bt.Reset()
-}
-
-// consumePosting applies one posting-list entry (candidate session j with a
-// current item weight pi at evolving position pos) to the candidate
-// accumulator — the loop body of Algorithm 2's intersection loop. It returns
-// false when the caller must stop walking this posting list (early
-// stopping): postings are sorted by descending timestamp, so once a session
-// is rejected for being older than every current candidate, every remaining
-// session in the list would be rejected too.
-func (r *Recommender) consumePosting(j sessions.SessionID, pi float64, pos int) bool {
-	if sl := r.tab.find(j); sl != nil {
-		sl.score += pi
-		return true
-	}
-	tj := r.idx.times[j]
-	if r.tab.len() < r.p.M {
-		r.tab.insert(j, pi, int32(pos))
-		r.bt.Push(btEntry{id: j, time: tj})
-		return true
-	}
-	oldest, _ := r.bt.Peek()
-	if tj > oldest.time {
-		// Evict the oldest candidate in favour of the more recent session
-		// j. An evicted session can never re-enter: the recency heap's
-		// minimum only grows.
-		r.tab.delete(oldest.id)
-		r.tab.insert(j, pi, int32(pos))
-		r.bt.ReplaceRoot(btEntry{id: j, time: tj})
-		return true
-	}
-	return r.p.DisableEarlyStopping
-}
-
 // NeighborSessions computes the k most similar historical sessions for the
 // evolving session — the function neighbor_sessions_from_index of
 // Algorithm 2. The returned slice is ordered most similar first and is
 // valid until the next call on this Recommender.
+//
+// The candidate set is what Algorithm 2's recency walk keeps — the M most
+// recent distinct sessions sharing an item with the truncated session — but
+// it is found by merging the posting lists (mergeNeighbors), so the query
+// needs no candidate table, no recency heap and no eviction; Params'
+// HeapArity and DisableEarlyStopping, which configure that walk, do not
+// apply. Quickselect then keeps the k best and a sort orders them, under
+// the (score, time, id) order the reference's bounded heap realises.
 func (r *Recommender) NeighborSessions(evolving []sessions.ItemID) []Neighbor {
 	s := r.truncate(evolving)
 	length := len(s)
 
-	r.resetCandidates()
-
-	// Item intersection loop: visit evolving-session items most recent
-	// first so that the first candidate hit by a session records the most
-	// recent shared item position, and so that duplicate items keep their
-	// most recent position.
+	// One head per distinct item, most recent position first, so a
+	// duplicate keeps its most recent position and list order is the order
+	// Algorithm 2 visits the lists in. A linear duplicate scan over at most
+	// MaxSessionLength heads beats any hashed structure at this size.
+	// Items without postings contribute nothing and get no head; a repeat
+	// of one has none either.
+	heads := r.heads[:0]
+items:
 	for pos := length; pos >= 1; pos-- {
 		item := s[pos-1]
-		if r.seenBefore(item) {
-			continue
-		}
-		r.seen = append(r.seen, item)
-		postings := r.idx.Postings(item)
-		if len(postings) == 0 {
-			continue
-		}
-		pi := r.p.Decay(pos, length)
-
-		for _, j := range postings {
-			if !r.consumePosting(j, pi, pos) {
-				break
+		for i := range heads {
+			if heads[i].item == item {
+				continue items
 			}
 		}
-	}
-
-	return r.collectTopNeighbors()
-}
-
-// collectTopNeighbors runs the top-k similarity loop over a filled candidate
-// table: one cache-friendly sweep over the probe table's 2·M slots stands in
-// for iterating the temporary map r, then quickselect keeps the k best and a
-// final sort orders them — the same total order the reference path's bounded
-// heap produces, at a fraction of the comparisons (see selectTopNeighbors).
-// The result aliases the reused neighbour buffer.
-func (r *Recommender) collectTopNeighbors() []Neighbor {
-	ns := r.nbrBuf[:0]
-	for i := range r.tab.slots {
-		sl := &r.tab.slots[i]
-		if sl.stamp != r.tab.epoch {
-			continue
+		if postings := r.idx.Postings(item); len(postings) > 0 {
+			heads = append(heads, postingHead{postings: postings, pi: r.p.Decay(pos, length), item: item, pos: int32(pos)})
 		}
-		ns = append(ns, Neighbor{
-			ID:     sl.key,
-			Score:  sl.score,
-			MaxPos: int(sl.maxPos),
-			Time:   r.idx.times[sl.key],
-		})
 	}
+	r.heads = heads
+
+	ns := mergeNeighbors(r.nbrBuf[:0], heads, r.p.M, r.idx.times)
 	r.nbrBuf = ns // retain grown storage for the next query
 	if len(ns) > r.p.K {
 		selectTopNeighbors(ns, r.p.K)

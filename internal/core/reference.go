@@ -6,11 +6,15 @@ import (
 )
 
 // ReferenceRecommender is the original map-based implementation of the
-// VMIS-kNN query path, retained verbatim as the differential-testing and
-// benchmarking reference for the dense kernel in Recommender: the property
-// tests prove both produce identical ranked output (including tie-breaks),
-// and the microbenchmarks quantify the kernel's win over it. It is exported
-// for tests and harnesses only — production paths should use Recommender.
+// VMIS-kNN query path — Algorithm 2's recency walk with a hashmap
+// accumulator, a d-ary recency heap, eviction and early stopping — retained
+// as the differential-testing and benchmarking reference for the dense
+// kernel in Recommender: the property tests prove both produce identical
+// ranked output (including tie-breaks), and the microbenchmarks quantify the
+// kernel's win over it. Recency is (time, id) and neighbour ties break on
+// (score, time, id), so same-second sessions resolve the same way on both
+// paths. It is exported for tests and harnesses only — production paths
+// should use Recommender.
 //
 // Like Recommender it reuses buffers across calls and is not safe for
 // concurrent use.
@@ -20,7 +24,7 @@ type ReferenceRecommender struct {
 
 	r      map[sessions.SessionID]refAccum
 	dup    map[sessions.ItemID]struct{}
-	bt     *dheap.Heap[btEntry]
+	bt     *dheap.Heap[sessions.SessionID]
 	topk   *dheap.Bounded[Neighbor]
 	scores map[sessions.ItemID]float64
 	outH   *dheap.Bounded[ScoredItem]
@@ -51,9 +55,31 @@ func NewReferenceRecommender(idx *Index, p Params) (*ReferenceRecommender, error
 		dup:    make(map[sessions.ItemID]struct{}, p.MaxSessionLength),
 		scores: make(map[sessions.ItemID]float64, 256),
 	}
-	r.bt = dheap.NewWithCapacity(p.HeapArity, p.M, func(a, b btEntry) bool { return a.time < b.time })
+	r.bt = dheap.NewWithCapacity(p.HeapArity, p.M, r.olderThan)
 	r.topk = dheap.NewBounded(p.HeapArity, p.K, neighborLess)
 	return r, nil
+}
+
+// olderThan orders sessions by recency, (time, id): the recency heap's order
+// and the eviction test, pinned so that which of two same-second sessions
+// survives does not depend on heap internals.
+func (r *ReferenceRecommender) olderThan(a, b sessions.SessionID) bool {
+	ta, tb := r.idx.times[a], r.idx.times[b]
+	return ta < tb || (ta == tb && a < b)
+}
+
+// neighborLess orders neighbours weakest-first for the bounded top-k heap:
+// lower similarity orders first; equal similarities break ties toward the
+// older session by (time, id), so the more recent session is retained, per
+// Algorithm 2 lines 37-38.
+func neighborLess(a, b Neighbor) bool {
+	if a.Score != b.Score {
+		return a.Score < b.Score
+	}
+	if a.Time != b.Time {
+		return a.Time < b.Time
+	}
+	return a.ID < b.ID
 }
 
 // NeighborSessions computes the k most similar historical sessions using
@@ -88,17 +114,16 @@ func (r *ReferenceRecommender) NeighborSessions(evolving []sessions.ItemID) []Ne
 				r.r[j] = acc
 				continue
 			}
-			tj := r.idx.times[j]
 			if len(r.r) < r.p.M {
 				r.r[j] = refAccum{score: pi, maxPos: int32(pos)}
-				r.bt.Push(btEntry{id: j, time: tj})
+				r.bt.Push(j)
 				continue
 			}
 			oldest, _ := r.bt.Peek()
-			if tj > oldest.time {
-				delete(r.r, oldest.id)
+			if r.olderThan(oldest, j) {
+				delete(r.r, oldest)
 				r.r[j] = refAccum{score: pi, maxPos: int32(pos)}
-				r.bt.ReplaceRoot(btEntry{id: j, time: tj})
+				r.bt.ReplaceRoot(j)
 				continue
 			}
 			if !r.p.DisableEarlyStopping {

@@ -21,7 +21,8 @@ type MicroRow struct {
 
 // Micro reproduces §5.1.3 / Figure 3(a) bottom: computing the k=100 closest
 // sessions on ecom-1m with VS-kNN (hashmap two-phase baseline),
-// VMIS-kNN-no-opt (binary heaps, no early stopping) and VMIS-kNN, for
+// VMIS-kNN-no-opt (Algorithm 2's walk on binary heaps, no early stopping:
+// the map-based core.ReferenceRecommender) and VMIS-kNN (the kernel), for
 // m ∈ {100, 250, 500, 1000}.
 func Micro(opts Options) ([]MicroRow, error) {
 	train, test, err := prepProfile("ecom-1m-sim", opts)
@@ -51,7 +52,7 @@ func Micro(opts Options) ([]MicroRow, error) {
 		rows = append(rows, MicroRow{M: m, Variant: "VS-kNN",
 			Median: durationPercentile(vsTimes, 0.5), P90: durationPercentile(vsTimes, 0.9)})
 
-		noopt, err := core.NewRecommender(idx, core.Params{M: m, K: k, HeapArity: 2, DisableEarlyStopping: true})
+		noopt, err := core.NewReferenceRecommender(idx, core.Params{M: m, K: k, HeapArity: 2, DisableEarlyStopping: true})
 		if err != nil {
 			return nil, err
 		}

@@ -10,11 +10,13 @@ import (
 	"serenade/internal/sessions"
 )
 
-// sessionStream produces random sessions with strictly increasing times.
+// sessionStream produces random sessions with strictly increasing times,
+// or — coarse — on a one-second clock that several sessions share.
 type sessionStream struct {
-	rng  *rand.Rand
-	tick int64
-	all  []sessions.Session
+	rng    *rand.Rand
+	tick   int64
+	coarse bool
+	all    []sessions.Session
 }
 
 func newStream(seed int64) *sessionStream {
@@ -25,9 +27,14 @@ func (st *sessionStream) next(vocab int) ([]sessions.ItemID, int64) {
 	length := 2 + st.rng.Intn(5)
 	items := make([]sessions.ItemID, length)
 	times := make([]int64, length)
+	if st.coarse && st.rng.Intn(4) == 0 {
+		st.tick++
+	}
 	for i := range items {
 		items[i] = sessions.ItemID(st.rng.Intn(vocab))
-		st.tick++
+		if !st.coarse {
+			st.tick++
+		}
 		times[i] = st.tick
 	}
 	st.all = append(st.all, sessions.Session{
@@ -71,8 +78,24 @@ func queries(rng *rand.Rand, vocab, n int) [][]sessions.ItemID {
 // TestAppendMatchesRebuild: after every batch of appends, the incremental
 // index answers exactly like a from-scratch rebuild over all sessions.
 func TestAppendMatchesRebuild(t *testing.T) {
+	checkAppendMatchesRebuild(t, newStream(1), core.Params{M: 25, K: 10})
+}
+
+// TestAppendMatchesRebuildTiedTimes is the same check on a coarse clock,
+// where runs of sessions share a timestamp and M is small enough that the
+// incremental walk evicts among them — with early stopping on and off, it
+// must keep exactly the sessions the rebuilt index's merge picks.
+func TestAppendMatchesRebuildTiedTimes(t *testing.T) {
+	for seed, noEarlyStop := range []bool{false, true} {
+		st := newStream(int64(11 + seed))
+		st.coarse = true
+		checkAppendMatchesRebuild(t, st, core.Params{M: 8, K: 5, DisableEarlyStopping: noEarlyStop})
+	}
+}
+
+func checkAppendMatchesRebuild(t *testing.T, st *sessionStream, p core.Params) {
+	t.Helper()
 	const vocab = 40
-	st := newStream(1)
 	for i := 0; i < 100; i++ {
 		st.next(vocab)
 	}
@@ -80,7 +103,6 @@ func TestAppendMatchesRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := core.Params{M: 25, K: 10}
 	inc, err := NewRecommender(x, p)
 	if err != nil {
 		t.Fatal(err)
@@ -95,6 +117,10 @@ func TestAppendMatchesRebuild(t *testing.T) {
 		}
 		fresh := freshRecommender(t, st.dataset(), p)
 		for _, q := range queries(rng, vocab, 40) {
+			na := append([]core.Neighbor(nil), inc.NeighborSessions(q)...)
+			if nb := fresh.NeighborSessions(q); !reflect.DeepEqual(na, nb) {
+				t.Fatalf("batch %d: incremental neighbours disagree with rebuild on %v:\n%v\nvs\n%v", batch, q, na, nb)
+			}
 			a := inc.Recommend(q, 21)
 			b := fresh.Recommend(q, 21)
 			if !reflect.DeepEqual(a, b) {

@@ -88,6 +88,12 @@ func FuzzLoad(f *testing.F) {
 	le.PutUint32(dupID[v2HeaderSize+(secPostRemap-1)*v2SectionSize:], secIDF)
 	f.Add(dupID)
 
+	// Merge-precondition seeds: a decreasing timestamp and a repeated
+	// posting id, each behind an honest CRC.
+	for _, data := range mergeViolations(f, valid2) {
+		f.Add(data)
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		loaded, err := Load(bytes.NewReader(data))
 		if err != nil {

@@ -317,6 +317,63 @@ func TestV2SectionTableAttacks(t *testing.T) {
 	})
 }
 
+// mergeViolations returns copies of a pristine v2 image that break the
+// candidate merge's preconditions but keep honest CRCs, so only the
+// structural check can reject them: a session timestamp older than its
+// predecessor's, and a posting list that repeats a session id.
+func mergeViolations(t testing.TB, pristine []byte) map[string][]byte {
+	t.Helper()
+	le := binary.LittleEndian
+	section := func(data []byte, id int) []byte {
+		entry := data[v2HeaderSize+(id-1)*v2SectionSize:]
+		off, n := le.Uint64(entry[8:16]), le.Uint64(entry[16:24])
+		return data[off : off+n]
+	}
+	reseal := func(data []byte, id int) {
+		entry := data[v2HeaderSize+(id-1)*v2SectionSize:]
+		le.PutUint32(entry[4:8], crc32.ChecksumIEEE(section(data, id)))
+	}
+	out := map[string][]byte{}
+
+	data := append([]byte(nil), pristine...)
+	times := section(data, secTimes)
+	if len(times) < 16 {
+		t.Fatal("index too small for a timestamp mutation")
+	}
+	le.PutUint64(times[len(times)-8:], le.Uint64(times[len(times)-16:])-1)
+	reseal(data, secTimes)
+	out["times decrease in id"] = data
+
+	data = append([]byte(nil), pristine...)
+	offsets, postings := section(data, secPostOffsets), section(data, secPostData)
+	for row := 0; row+1 < len(offsets)/4; row++ {
+		lo, hi := le.Uint32(offsets[4*row:]), le.Uint32(offsets[4*row+4:])
+		if hi-lo >= 2 {
+			le.PutUint32(postings[4*(lo+1):], le.Uint32(postings[4*lo:]))
+			reseal(data, secPostData)
+			out["posting id repeated"] = data
+			break
+		}
+	}
+	if len(out) != 2 {
+		t.Fatal("no posting list with two entries to mutate")
+	}
+	return out
+}
+
+// TestV2MergePreconditionViolations: images that break the merge's
+// preconditions behind honest CRCs are rejected as corrupt on both load
+// paths.
+func TestV2MergePreconditionViolations(t *testing.T) {
+	idx, err := core.BuildIndex(smallDataset(t, 26), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for label, data := range mergeViolations(t, saveV2Bytes(t, idx)) {
+		loadBoth(t, data, label)
+	}
+}
+
 // TestV2RemapRoundTrip: a popularity-remapped index serialises with the
 // optional eighth section and loads back — through both the mmap and the
 // stream path — with the remap intact and identical observable state to the

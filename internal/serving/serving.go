@@ -1000,7 +1000,7 @@ type Stats struct {
 	// (file-backed pages of an mmap-loaded index — resident but
 	// reclaimable, and never scanned by the collector).
 	// RecommenderBytes is the per-goroutine footprint of one pooled query
-	// kernel (probe table, flat score array, heaps — O(M + numItems)).
+	// kernel (candidate buffer, flat score array — O(M + numItems)).
 	// Capacity planning: total ≈ IndexBytes + pooled recommenders ×
 	// RecommenderBytes per pod.
 	IndexBytes       int64 `json:"index_bytes"`
