@@ -1,7 +1,7 @@
 // Command serenade-indexer runs the offline index generation job: it reads
 // a click-log CSV, builds the VMIS-kNN session similarity index with the
 // data-parallel batch engine (the paper's daily Spark job), and writes the
-// compressed index file consumed by serenade-server.
+// index file consumed by serenade-server.
 //
 // Usage:
 //
@@ -14,8 +14,10 @@ import (
 	"log"
 	"time"
 
-	"serenade"
+	"serenade/internal/dataflow"
+	"serenade/internal/index"
 	"serenade/internal/obs"
+	"serenade/internal/sessions"
 )
 
 func main() {
@@ -27,8 +29,6 @@ func main() {
 		out      = flag.String("out", "index.srn", "output index path")
 		capacity = flag.Int("capacity", 1000, "posting-list capacity (max query-time m; 0 = unbounded)")
 		workers  = flag.Int("workers", 0, "parallel build workers (0 = GOMAXPROCS)")
-		format   = flag.String("format", "v2", "on-disk format: v2 (mmap-able section layout) or v1 (compressed stream)")
-		remap    = flag.Bool("remap", false, "store posting lists in popularity order (v2 only; hot items share pages)")
 	)
 	flag.Parse()
 	if *data == "" {
@@ -36,13 +36,13 @@ func main() {
 	}
 
 	phases := obs.StartPhases()
-	ds, err := serenade.LoadCSV(*data)
+	ds, err := sessions.LoadFile(*data)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("loaded %s in %v\n", serenade.Stats(ds), phases.Mark("load").Round(time.Millisecond))
+	fmt.Printf("loaded %s in %v\n", sessions.ComputeStats(ds), phases.Mark("load").Round(time.Millisecond))
 
-	idx, err := serenade.BuildIndexParallel(ds, *capacity, *workers)
+	idx, err := index.Build(dataflow.NewEngine(*workers), sessions.Renumber(ds), *capacity)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,22 +51,9 @@ func main() {
 		float64(idx.MemoryFootprint())/(1<<20),
 		phases.Mark("build").Round(time.Millisecond))
 
-	if *remap {
-		// The v1 stream serialises through the logical accessors, which undoes
-		// the physical permutation — remap only survives the v2 section format.
-		if *format != serenade.IndexFormatV2 {
-			log.Fatalf("-remap requires -format %s (the v1 stream cannot carry the layout)", serenade.IndexFormatV2)
-		}
-		idx, err = idx.RemappedByPopularity()
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("remapped postings by popularity in %v\n", phases.Mark("remap").Round(time.Millisecond))
-	}
-
-	if err := serenade.SaveIndexFormat(*out, idx, *format); err != nil {
+	if err := index.SaveFile(*out, idx); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("wrote %s (%s) in %v\n", *out, *format, phases.Mark("save").Round(time.Millisecond))
+	fmt.Printf("wrote %s in %v\n", *out, phases.Mark("save").Round(time.Millisecond))
 	fmt.Printf("phases: %s\n", phases)
 }

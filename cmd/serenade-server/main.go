@@ -26,7 +26,12 @@ import (
 	"syscall"
 	"time"
 
-	"serenade"
+	"serenade/internal/core"
+	"serenade/internal/index"
+	"serenade/internal/kvstore"
+	"serenade/internal/obs/quality"
+	"serenade/internal/serving"
+	"serenade/internal/trending"
 )
 
 // parseByteSize parses a human byte size for -gomemlimit: a plain integer is
@@ -84,7 +89,6 @@ func main() {
 		logJSON   = flag.Bool("log-json", false, "structured logs as JSON instead of text")
 		cacheSize = flag.Int("result-cache-size", 0, "single-flight result cache entries (0 disables the cache)")
 		cacheTTL  = flag.Duration("result-cache-ttl", 0, "result cache entry lifetime (0 = default 5s)")
-		f32Scores = flag.Bool("float32-scores", false, "accumulate item scores in float32 (half the accumulator footprint; ranks may differ in ties)")
 		sloP99    = flag.Duration("slo-latency-p99", 50*time.Millisecond, "latency objective: requests slower than this burn error budget, tracked at /debug/slo (0 disables)")
 		sloBudget = flag.Float64("slo-latency-budget", 0, "fraction of requests allowed to exceed -slo-latency-p99 (0 = default 1%, a p99 objective)")
 		sloErr    = flag.Float64("slo-error-budget", 0.001, "fraction of requests allowed to fail before the error-rate SLO burns (0 disables)")
@@ -112,7 +116,7 @@ func main() {
 		debug.SetMemoryLimit(limit)
 		log.Printf("soft memory limit set to %s (%d bytes)", *memLimit, limit)
 	}
-	syncPolicy, err := serenade.ParseWALSyncPolicy(*walSync)
+	syncPolicy, err := kvstore.ParseSyncPolicy(*walSync)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -126,7 +130,7 @@ func main() {
 	logger := slog.New(handler)
 
 	start := time.Now()
-	idx, err := serenade.LoadIndex(*indexPath)
+	idx, err := index.LoadFile(*indexPath)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -136,16 +140,16 @@ func main() {
 		idx.NumSessions(), idx.NumItems(), loadDur.Round(time.Millisecond),
 		idx.Mapped(), float64(heapBytes)/(1<<20), float64(mmapBytes)/(1<<20))
 
-	var tracker *serenade.TrendingTracker
+	var tracker *trending.Tracker
 	if *trendHL > 0 {
-		tracker = serenade.NewTrendingTracker(*trendHL)
+		tracker = trending.New(*trendHL, nil)
 	}
 
-	var qualityOpts *serenade.QualityOptions
+	var qualityOpts *quality.Options
 	if *qVariant != "" || *qBaseline != "" {
-		qualityOpts = &serenade.QualityOptions{Variant: *qVariant, Window: *qWindow}
+		qualityOpts = &quality.Options{Variant: *qVariant, Window: *qWindow}
 		if *qBaseline != "" {
-			base, err := serenade.LoadQualityBaseline(*qBaseline)
+			base, err := quality.LoadBaseline(*qBaseline)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -154,8 +158,8 @@ func main() {
 				*qBaseline, base.Profile, base.K, base.MRR, base.CondMRR, base.Events)
 		}
 	}
-	srv, err := serenade.NewServer(idx, serenade.ServerConfig{
-		Params:             serenade.Params{M: *m, K: *k, Float32Scores: *f32Scores},
+	srv, err := serving.NewServer(idx, serving.Config{
+		Params:             core.Params{M: *m, K: *k},
 		ResultCacheSize:    *cacheSize,
 		ResultCacheTTL:     *cacheTTL,
 		Recommendations:    *slotSize,
@@ -165,7 +169,7 @@ func main() {
 		WALSync:            syncPolicy,
 		WALSyncInterval:    *walSyncIv,
 		IdempotencyTTL:     *idemTTL,
-		Catalog:            serenade.NewCatalog(),
+		Catalog:            serving.NewCatalog(),
 		FallbackToPopular:  *fallback,
 		OwnIndex:           true, // rollover munmaps the outgoing index once drained
 		Trending:           tracker,
@@ -195,7 +199,7 @@ func main() {
 	go func() {
 		for range hup {
 			t0 := time.Now()
-			next, err := serenade.LoadIndex(*indexPath)
+			next, err := index.LoadFile(*indexPath)
 			if err != nil {
 				logger.Error("index reload failed", "path", *indexPath, "err", err)
 				continue

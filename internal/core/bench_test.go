@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"serenade/internal/sessions"
@@ -132,7 +133,8 @@ func hotTails(idx *Index, n int, seed int64) [][]sessions.ItemID {
 	for i := range hot {
 		hot[i] = sessions.ItemID(i)
 	}
-	slicesSortByDF(hot, idx.df)
+	// Most frequent first, smaller id first on ties.
+	slices.SortStableFunc(hot, func(a, b sessions.ItemID) int { return int(idx.df[b]) - int(idx.df[a]) })
 	hot = hot[:64]
 	rng := rand.New(rand.NewSource(seed))
 	queries := make([][]sessions.ItemID, n)

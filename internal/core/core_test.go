@@ -329,31 +329,6 @@ func TestCloneSharesNoMutableState(t *testing.T) {
 	}
 }
 
-// TestRecommendOnRemappedIndex checks that the popularity remap is invisible
-// to query semantics: output over the remapped index must equal output over
-// the original layout.
-func TestRecommendOnRemappedIndex(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	idx := mustIndex(t, randomDataset(rng, 250, 40), 0)
-	remapped, err := idx.RemappedByPopularity()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !remapped.Remapped() {
-		t.Fatal("RemappedByPopularity returned an identity-layout index")
-	}
-	p := Params{M: 20, K: 10}
-	base := mustRecommender(t, idx, p)
-	onRemap := mustRecommender(t, remapped, p)
-	for trial := 0; trial < 240; trial++ {
-		q := randomEvolving(rng, 40)
-		want := base.Recommend(q, 10)
-		if got := onRemap.Recommend(q, 10); !reflect.DeepEqual(got, want) {
-			t.Fatalf("query %v: remapped %+v, want %+v", q, got, want)
-		}
-	}
-}
-
 func TestNewRecommenderRejectsMBeyondCapacity(t *testing.T) {
 	idx := mustIndex(t, buildDataset(t, [][]sessions.ItemID{{1}}), 5)
 	if _, err := NewRecommender(idx, Params{M: 10, K: 5}); err == nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"serenade/internal/sessions"
@@ -41,17 +40,10 @@ type Index struct {
 	capacity    int
 
 	times []int64
-	// postingOffsets has numItems+1 entries; item i's posting list occupies
-	// the CSR row postingData[postingOffsets[r]:postingOffsets[r+1]] where
-	// r = postingRemap[i] (or r = i when postingRemap is nil). A
-	// popularity-ordered remap gives frequent items dense low rows, so the
-	// posting bytes hot queries touch cluster on a few pages instead of
-	// being scattered across the whole arena (see RemappedByPopularity).
+	// postingOffsets has numItems+1 entries; item i's posting list is
+	// postingData[postingOffsets[i]:postingOffsets[i+1]].
 	postingOffsets []uint32
 	postingData    []sessions.SessionID
-	// postingRemap maps an item id to its posting row; nil means identity
-	// (row i holds item i, the layout BuildIndex produces).
-	postingRemap []uint32
 	// sessionItemOffsets has numSessions+1 entries; session s's distinct
 	// items are sessionItemData[sessionItemOffsets[s]:sessionItemOffsets[s+1]].
 	sessionItemOffsets []uint32
@@ -60,12 +52,11 @@ type Index struct {
 	idf                []float64
 
 	// Arena backing (set by the index package loaders): when arenaBytes is
-	// non-zero every CSR array above (except a recomputed idf, see idfHeap)
-	// is a view into one contiguous region of that many bytes — an mmap(2)
-	// region when mapped is true, a single heap allocation otherwise.
+	// non-zero every CSR array above is a view into one contiguous region of
+	// that many bytes — an mmap(2) region when mapped is true, a single heap
+	// allocation otherwise.
 	arenaBytes int64
 	mapped     bool
-	idfHeap    bool
 	closeOnce  sync.Once
 	closeFn    func() error
 	closeErr   error
@@ -85,9 +76,6 @@ type CSR struct {
 	// IDF may be nil when constructing (NewIndexFromCSR recomputes it);
 	// CSR() always returns it populated.
 	IDF []float64
-	// PostingRemap maps item id -> posting row; nil means the identity
-	// layout. When non-nil it must be a permutation of [0, numItems).
-	PostingRemap []uint32
 }
 
 // Arena describes the backing storage of a CSR view handed to
@@ -219,7 +207,7 @@ func BuildIndex(ds *sessions.Dataset, capacity int) (*Index, error) {
 }
 
 // NewIndexFromParts assembles an index from per-list slices (the layout the
-// dataflow build job and the v1 file format produce), flattening them into
+// dataflow build job produces), flattening them into
 // the CSR arena and recomputing the derived inverse document frequencies. It
 // validates the structural invariants that Recommend relies on.
 func NewIndexFromParts(times []int64, postings [][]sessions.SessionID, sessionItems [][]sessions.ItemID, df []int32, capacity int) (*Index, error) {
@@ -268,11 +256,9 @@ func NewIndexFromParts(times []int64, postings [][]sessions.SessionID, sessionIt
 // structural invariant Recommend relies on (offset monotonicity and bounds,
 // timestamps non-decreasing in session id, posting ids in range and strictly
 // descending — which the candidate merge needs to read "larger id" as "more
-// recent" — item ids in range, plausible document frequencies, the posting
-// remap a permutation) without
-// allocating — except a transient row-seen bitmap when a remap is present —
-// so a file-backed load stays O(1) in allocations no matter how large the
-// index. A nil c.IDF is recomputed from the document frequencies; a provided
+// recent" — item ids in range, plausible document frequencies) without
+// allocating, so a file-backed load stays O(1) in allocations no matter how
+// large the index. A nil c.IDF is recomputed from the document frequencies; a provided
 // one (e.g. a mapped section) is cross-checked against them.
 func NewIndexFromCSR(c CSR, capacity int, arena Arena) (*Index, error) {
 	numSessions := len(c.Times)
@@ -297,27 +283,8 @@ func NewIndexFromCSR(c CSR, capacity int, arena Arena) (*Index, error) {
 			return nil, fmt.Errorf("core: session %d is older than session %d (ids must ascend with time)", s, s-1)
 		}
 	}
-	if c.PostingRemap != nil {
-		if len(c.PostingRemap) != numItems {
-			return nil, fmt.Errorf("core: posting remap (%d) disagrees with item count %d", len(c.PostingRemap), numItems)
-		}
-		seenRow := make([]bool, numItems)
-		for item, row := range c.PostingRemap {
-			if int(row) >= numItems {
-				return nil, fmt.Errorf("core: posting remap of item %d references row %d of %d", item, row, numItems)
-			}
-			if seenRow[row] {
-				return nil, fmt.Errorf("core: posting remap is not a permutation (row %d claimed twice)", row)
-			}
-			seenRow[row] = true
-		}
-	}
 	for item := 0; item < numItems; item++ {
-		row := item
-		if c.PostingRemap != nil {
-			row = int(c.PostingRemap[item])
-		}
-		lo, hi := c.PostingOffsets[row], c.PostingOffsets[row+1]
+		lo, hi := c.PostingOffsets[item], c.PostingOffsets[item+1]
 		count := int(hi - lo)
 		if capacity > 0 && count > capacity {
 			return nil, fmt.Errorf("core: posting list of item %d has %d entries, beyond capacity %d", item, count, capacity)
@@ -348,7 +315,6 @@ func NewIndexFromCSR(c CSR, capacity int, arena Arena) (*Index, error) {
 		times:              c.Times,
 		postingOffsets:     c.PostingOffsets,
 		postingData:        c.PostingData,
-		postingRemap:       c.PostingRemap,
 		sessionItemOffsets: c.SessionItemOffsets,
 		sessionItemData:    c.SessionItemData,
 		df:                 c.DF,
@@ -359,7 +325,6 @@ func NewIndexFromCSR(c CSR, capacity int, arena Arena) (*Index, error) {
 	}
 	if idx.idf == nil {
 		idx.idf = make([]float64, numItems)
-		idx.idfHeap = true
 		idx.computeIDF()
 	} else if err := idx.checkIDF(); err != nil {
 		return nil, err
@@ -396,7 +361,6 @@ func (idx *Index) CSR() CSR {
 		SessionItemData:    idx.sessionItemData,
 		DF:                 idx.df,
 		IDF:                idx.idf,
-		PostingRemap:       idx.postingRemap,
 	}
 }
 
@@ -441,11 +405,7 @@ func (idx *Index) Postings(item sessions.ItemID) []sessions.SessionID {
 	if int(item) >= idx.numItems {
 		return nil
 	}
-	row := uint32(item)
-	if idx.postingRemap != nil {
-		row = idx.postingRemap[item]
-	}
-	lo, hi := idx.postingOffsets[row], idx.postingOffsets[row+1]
+	lo, hi := idx.postingOffsets[item], idx.postingOffsets[item+1]
 	if lo == hi {
 		return nil
 	}
@@ -490,75 +450,6 @@ func (idx *Index) IDF(item sessions.ItemID) float64 {
 // heap memory.
 func (idx *Index) Mapped() bool { return idx.mapped }
 
-// Remapped reports whether the posting rows are stored in a non-identity
-// (e.g. popularity-ordered) physical layout.
-func (idx *Index) Remapped() bool { return idx.postingRemap != nil }
-
-// RemappedByPopularity returns a view of the index whose posting rows are
-// physically reordered by descending document frequency (ties broken by
-// ascending item id): the hottest items' posting lists become the first rows
-// of the posting arena, so the bytes that frequent queries touch cluster on a
-// few leading pages instead of being scattered across the whole arena. Every
-// accessor keeps dataset item-id semantics — only the physical row order and
-// the item→row remap change.
-//
-// The returned index shares the timestamp, session-item, df, and idf arrays
-// with the receiver (it is valid only as long as the receiver stays open) but
-// owns fresh posting arrays, so it never aliases a region the receiver's
-// Close would unmap partially. An already-remapped index is rebuilt from its
-// logical (per-item) posting order, so the result is canonical either way.
-func (idx *Index) RemappedByPopularity() (*Index, error) {
-	n := idx.numItems
-	order := make([]sessions.ItemID, n)
-	for i := range order {
-		order[i] = sessions.ItemID(i)
-	}
-	slicesSortByDF(order, idx.df)
-
-	remap := make([]uint32, n)
-	postingOffsets := make([]uint32, n+1)
-	postingData := make([]sessions.SessionID, len(idx.postingData))
-	w := uint32(0)
-	for row, item := range order {
-		remap[item] = uint32(row)
-		postingOffsets[row] = w
-		w += uint32(copy(postingData[w:], idx.Postings(item)))
-	}
-	postingOffsets[n] = w
-
-	c := CSR{
-		Times:              idx.times,
-		PostingOffsets:     postingOffsets,
-		PostingData:        postingData[:w:w],
-		SessionItemOffsets: idx.sessionItemOffsets,
-		SessionItemData:    idx.sessionItemData,
-		DF:                 idx.df,
-		IDF:                idx.idf,
-		PostingRemap:       remap,
-	}
-	return NewIndexFromCSR(c, idx.capacity, Arena{})
-}
-
-// slicesSortByDF sorts item ids by descending document frequency, ascending
-// item id on ties — the deterministic popularity order of the posting remap.
-func slicesSortByDF(order []sessions.ItemID, df []int32) {
-	slices.SortFunc(order, func(a, b sessions.ItemID) int {
-		if df[a] != df[b] {
-			if df[a] > df[b] {
-				return -1
-			}
-			return 1
-		}
-		if a < b {
-			return -1
-		}
-		if a > b {
-			return 1
-		}
-		return 0
-	})
-}
-
 // Close releases the index's backing arena — for a file-backed index it
 // unmaps the region, after which every accessor result and shared slice is
 // invalid. Closing a heap-backed index is a no-op. Close is idempotent and
@@ -593,8 +484,7 @@ func (idx *Index) MemoryFootprint() int64 {
 // MemoryBreakdown splits the index's footprint into heap-resident bytes
 // (garbage-collected memory) and mmap-resident bytes (file-backed pages the
 // kernel can reclaim under pressure). A heap-built index is all heap; a
-// file-backed v2 index is almost all mmap, with only the struct — and a
-// recomputed idf vector, when the file predates stored idf — on the heap.
+// file-backed v2 index is almost all mmap, with only the struct on the heap.
 func (idx *Index) MemoryBreakdown() (heapBytes, mmapBytes int64) {
 	if idx.arenaBytes > 0 {
 		if idx.mapped {
@@ -602,16 +492,12 @@ func (idx *Index) MemoryBreakdown() (heapBytes, mmapBytes int64) {
 		} else {
 			heapBytes = idx.arenaBytes
 		}
-		if idx.idfHeap {
-			heapBytes += int64(len(idx.idf)) * 8
-		}
 		heapBytes += 8 * sliceHeaderBytes // slice headers + struct scalars
 		return heapBytes, mmapBytes
 	}
 	heapBytes = int64(len(idx.times))*8 +
 		int64(len(idx.postingOffsets))*4 +
 		int64(len(idx.postingData))*4 +
-		int64(len(idx.postingRemap))*4 +
 		int64(len(idx.sessionItemOffsets))*4 +
 		int64(len(idx.sessionItemData))*4 +
 		int64(len(idx.df))*4 +

@@ -77,12 +77,6 @@ type Params struct {
 	// Like HeapArity it configures the walking executors only; the result
 	// is the same either way.
 	DisableEarlyStopping bool
-	// Float32Scores switches the item-score accumulator from float64 to
-	// float32, halving its footprint and memory traffic. Scores keep ~7
-	// significant digits — outside the kernel's 1e-12 differential pinning
-	// but far below any rank-relevant score gap on real data. Leave false
-	// for the exact float64 path.
-	Float32Scores bool
 }
 
 // DefaultMaxSessionLength bounds the number of evolving-session items

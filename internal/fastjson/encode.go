@@ -39,9 +39,11 @@ const smallsString = "00010203040506070809" +
 	"80818283848586878889" +
 	"90919293949596979899"
 
-// itemIDCacheSize bounds the precomputed decimal table for hot item ids.
-// Popularity-remapped indexes (PR 5) place the hottest items at the smallest
-// ids, so the ids that dominate response encoding all hit this table.
+// itemIDCacheSize bounds the precomputed decimal table for item ids. The
+// table serves ids below this bound whatever their popularity: no index
+// numbers items by popularity, so which share of a response's ids hits it
+// depends on the catalogue, and its gain over strconv.AppendUint is
+// unmeasured.
 const itemIDCacheSize = 1 << 12
 
 // itemIDCache holds the decimal form of ids 0..itemIDCacheSize-1, all slices

@@ -1,13 +1,14 @@
 // Package index implements Serenade's offline index generation and the
-// compressed on-disk index format.
+// on-disk index format.
 //
 // The paper builds the session similarity index once per day with a
 // data-parallel Spark job over the last 180 days of click data and ships it
 // to the serving machines as compressed Avro files (§4.2). Here the same
 // relational plan — key each session's distinct items, group by item,
 // sort each item's sessions by recency, truncate to the sample capacity —
-// runs on the internal/dataflow engine, and the result is serialised in a
-// compact delta-encoded, flate-compressed binary format with a checksum.
+// runs on the internal/dataflow engine, and the result is serialised as the
+// CSR arena itself, section by section with a checksum each, so a serving
+// pod maps the file instead of decoding it (see serde_v2.go).
 package index
 
 import (

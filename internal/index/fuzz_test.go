@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"testing"
 
 	"serenade/internal/core"
@@ -27,70 +28,56 @@ func FuzzLoad(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := Save(&buf, idx); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add([]byte("SRNIDX01garbage"))
 	f.Add([]byte{})
 
-	// v2 seeds: a valid section-table file, truncations that cut the header,
-	// the table, and a payload, a flipped payload byte, and a hostile table
-	// entry — the fuzzer mutates from here into overlap/bounds corner cases.
-	var buf2 bytes.Buffer
-	if err := SaveV2(&buf2, idx); err != nil {
-		f.Fatal(err)
+	// A valid file, truncations that cut the header, the table, and a
+	// payload, a flipped payload byte, and a hostile table entry — the
+	// fuzzer mutates from here into overlap/bounds corner cases.
+	valid := saveV2Bytes(f, idx)
+	le := binary.LittleEndian
+	entry := func(data []byte, id int) []byte {
+		return data[v2HeaderSize+(id-1)*v2SectionSize : v2HeaderSize+id*v2SectionSize]
 	}
-	valid2 := buf2.Bytes()
-	tableEnd := int(v2TableEnd(v2NumSections))
-	f.Add(valid2)
-	f.Add(valid2[:v2HeaderSize-1])
-	f.Add(valid2[:tableEnd/2])
-	f.Add(valid2[:len(valid2)-3])
-	flipped := append([]byte(nil), valid2...)
-	flipped[tableEnd+1] ^= 0x40
-	f.Add(flipped)
-	hostile := append([]byte(nil), valid2...)
-	binary.LittleEndian.PutUint64(hostile[v2HeaderSize+2*v2SectionSize+16:], 1<<60) // huge byteLen
-	f.Add(hostile)
+	patched := func(mutate func(data []byte)) []byte {
+		data := bytes.Clone(valid)
+		mutate(data)
+		return data
+	}
+	f.Add(valid)
+	f.Add(valid[:v2HeaderSize-1])
+	f.Add(valid[:v2TableEnd/2])
+	f.Add(valid[:len(valid)-3])
+	f.Add(patched(func(d []byte) { d[v2TableEnd+1] ^= 0x40 }))
+	f.Add(patched(func(d []byte) { le.PutUint64(entry(d, secPostData)[16:], 1<<60) })) // huge byteLen
 	f.Add([]byte("SRNIDX02garbage"))
 
-	// v2 remap seeds: the eight-section layout (popularity remap present), a
-	// hostile out-of-range remap row with an honest CRC, a file whose header
-	// claims eight sections over a seven-entry table, and a duplicate section
-	// id — the absent-section case is valid2 above.
-	remapped, err := idx.RemappedByPopularity()
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf3 bytes.Buffer
-	if err := SaveV2(&buf3, remapped); err != nil {
-		f.Fatal(err)
-	}
-	valid3 := buf3.Bytes()
-	f.Add(valid3)
-	f.Add(valid3[:v2TableEnd(v2MaxSections)-4])
-	badRow := append([]byte(nil), valid3...)
-	le := binary.LittleEndian
-	remapEntry := badRow[v2HeaderSize+(secPostRemap-1)*v2SectionSize:]
-	off := le.Uint64(remapEntry[8:16])
-	n := le.Uint64(remapEntry[16:24])
-	le.PutUint32(badRow[off:], uint32(remapped.NumItems()))
-	le.PutUint32(remapEntry[4:8], crc32.ChecksumIEEE(badRow[off:off+n]))
-	f.Add(badRow)
-	claims8 := append([]byte(nil), valid2...)
-	le.PutUint32(claims8[32:36], v2MaxSections)
-	f.Add(claims8)
-	dupID := append([]byte(nil), valid3...)
-	le.PutUint32(dupID[v2HeaderSize+(secPostRemap-1)*v2SectionSize:], secIDF)
-	f.Add(dupID)
+	// Hostile tables: a duplicate section id, no sections, a misaligned
+	// and an overlapping offset, and an absurd session count.
+	f.Add(patched(func(d []byte) { le.PutUint32(entry(d, secIDF), secDF) }))
+	f.Add(patched(func(d []byte) { le.PutUint32(d[32:], 0) }))
+	f.Add(patched(func(d []byte) { e := entry(d, secItemData); le.PutUint64(e[8:], le.Uint64(e[8:])+4) }))
+	f.Add(patched(func(d []byte) { le.PutUint64(entry(d, secItemOffsets)[8:], le.Uint64(entry(d, secPostData)[8:])) }))
+	f.Add(patched(func(d []byte) { le.PutUint64(d[8:], 1<<40) }))
 
-	// Merge-precondition seeds: a decreasing timestamp and a repeated
-	// posting id, each behind an honest CRC.
-	for _, data := range mergeViolations(f, valid2) {
+	// Retired formats, which must be refused: the v1 magic over a v2 body,
+	// a header claiming eight sections over a seven-entry table, and the
+	// files the removed writers produced.
+	f.Add(patched(func(d []byte) { copy(d, magicV1[:]) }))
+	f.Add(patched(func(d []byte) { le.PutUint32(d[32:], v2NumSections+1) }))
+	for _, data := range removedFormats(idx) {
+		f.Add(data)
+	}
+
+	// Honest CRCs over broken content: an idf weight that disagrees with
+	// its document frequency, a decreasing timestamp and a repeated
+	// posting id, so only the structural checks can reject them.
+	f.Add(patched(func(d []byte) {
+		e := entry(d, secIDF)
+		off, n := le.Uint64(e[8:]), le.Uint64(e[16:])
+		le.PutUint64(d[off:], math.Float64bits(math.Float64frombits(le.Uint64(d[off:]))+1))
+		le.PutUint32(e[4:], crc32.ChecksumIEEE(d[off:off+n]))
+	}))
+	for _, data := range mergeViolations(f, valid) {
 		f.Add(data)
 	}
 

@@ -1,342 +1,53 @@
 package index
 
 import (
-	"bufio"
-	"compress/flate"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"os"
 
 	"serenade/internal/core"
-	"serenade/internal/sessions"
 )
 
-// Two on-disk formats coexist:
-//
-// v1 ("SRNIDX01"): an 8-byte magic header followed by a flate stream. The
-// uncompressed stream is varint-encoded: counts, delta-encoded session
-// timestamps, per-session item lists, and per-item posting lists stored as a
-// head value plus descending deltas (posting lists are sorted by descending
-// session id, so deltas are non-negative and small). A CRC-32 of the
-// uncompressed payload terminates the stream. This stands in for the
-// compressed Avro container the paper ships from the Spark job to the
-// serving pods. Loading necessarily decodes every varint, but the decoder
-// streams straight into the CSR arena, so allocations stay O(1) in the
-// posting count.
-//
-// v2 ("SRNIDX02", see serde_v2.go): a section-table header over raw
-// 8-byte-aligned little-endian arrays with per-section CRC-32s, laid out so
-// LoadFile can mmap(2) the file and reinterpret the sections in place —
-// daily index rollover becomes O(page-in) instead of O(decode+allocate).
+// The on-disk format is "SRNIDX02" (see serde_v2.go): a section-table
+// header over raw 8-byte-aligned little-endian arrays with per-section
+// CRC-32s, laid out so LoadFile can mmap(2) the file and reinterpret the
+// sections in place — daily index rollover is O(page-in) instead of
+// O(decode+allocate). Transport compression belongs to the step that ships
+// the file to the serving pods, not to the format.
 
-var magic = [8]byte{'S', 'R', 'N', 'I', 'D', 'X', '0', '1'}
-
-// Format names accepted by SaveFileFormat and the indexer's -format flag.
-const (
-	FormatV1 = "v1"
-	FormatV2 = "v2"
-)
+// magicV1 is the header of the retired compressed-stream format. It is
+// recognised only to refuse it with a message saying what to do.
+var magicV1 = [8]byte{'S', 'R', 'N', 'I', 'D', 'X', '0', '1'}
 
 // ErrCorrupt is returned when an index file fails checksum or structural
 // validation.
 var ErrCorrupt = errors.New("index: corrupt index file")
 
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
+// errMagic reports a file that does not start with the v2 magic.
+func errMagic(head [8]byte) error {
+	if head == magicV1 {
+		return fmt.Errorf("%w: format SRNIDX01 is no longer read; rebuild the index with serenade-indexer", ErrCorrupt)
+	}
+	return fmt.Errorf("%w: bad magic", ErrCorrupt)
 }
 
-func (c *crcWriter) Write(p []byte) (int, error) {
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, p)
-	return c.w.Write(p)
-}
-
-// Save serialises the index to w in format v1.
-func Save(w io.Writer, idx *core.Index) error {
-	if _, err := w.Write(magic[:]); err != nil {
-		return err
-	}
-	fw, err := flate.NewWriter(w, flate.BestSpeed)
-	if err != nil {
-		return err
-	}
-	cw := &crcWriter{w: fw}
-	bw := bufio.NewWriterSize(cw, 1<<16)
-
-	var buf [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-
-	numSessions := idx.NumSessions()
-	numItems := idx.NumItems()
-	if err := putUvarint(uint64(numSessions)); err != nil {
-		return err
-	}
-	if err := putUvarint(uint64(numItems)); err != nil {
-		return err
-	}
-	if err := putUvarint(uint64(idx.Capacity())); err != nil {
-		return err
-	}
-
-	// Timestamps ascend; delta-encode.
-	prev := int64(0)
-	for _, t := range idx.Times() {
-		if err := putUvarint(uint64(t - prev)); err != nil {
-			return err
-		}
-		prev = t
-	}
-
-	// Per-session distinct item lists.
-	for s := 0; s < numSessions; s++ {
-		items := idx.SessionItems(sessions.SessionID(s))
-		if err := putUvarint(uint64(len(items))); err != nil {
-			return err
-		}
-		for _, it := range items {
-			if err := putUvarint(uint64(it)); err != nil {
-				return err
-			}
-		}
-	}
-
-	// Per-item document frequency and posting list (head + descending
-	// deltas).
-	for i := 0; i < numItems; i++ {
-		item := sessions.ItemID(i)
-		if err := putUvarint(uint64(idx.DF(item))); err != nil {
-			return err
-		}
-		postings := idx.Postings(item)
-		if err := putUvarint(uint64(len(postings))); err != nil {
-			return err
-		}
-		prev := uint64(0)
-		for k, sid := range postings {
-			if k == 0 {
-				if err := putUvarint(uint64(sid)); err != nil {
-					return err
-				}
-			} else if err := putUvarint(prev - uint64(sid)); err != nil {
-				return err
-			}
-			prev = uint64(sid)
-		}
-	}
-
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	// Trailer: CRC of everything written so far, excluded from the CRC
-	// itself.
-	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], cw.crc)
-	if _, err := fw.Write(trailer[:]); err != nil {
-		return err
-	}
-	return fw.Close()
-}
-
-type crcReader struct {
-	r   *bufio.Reader
-	crc uint32
-	// one reusable byte for Update: a literal []byte{b} would escape and
-	// cost one heap allocation per byte decoded.
-	one [1]byte
-}
-
-func (c *crcReader) ReadByte() (byte, error) {
-	b, err := c.r.ReadByte()
-	if err == nil {
-		c.one[0] = b
-		c.crc = crc32.Update(c.crc, crc32.IEEETable, c.one[:])
-	}
-	return b, err
-}
-
-// Load deserialises an index written by Save (v1) or SaveV2 (v2),
-// dispatching on the magic header and validating checksums and structural
-// invariants. For file-backed zero-copy loading of v2 indexes use LoadFile.
+// Load deserialises an index written by SaveV2 from a stream, validating
+// checksums and structural invariants. The stream is read into one
+// heap-resident arena; for file-backed zero-copy loading use LoadFile.
 func Load(r io.Reader) (*core.Index, error) {
 	var head [8]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
 		return nil, fmt.Errorf("index: reading magic: %w", err)
 	}
-	switch head {
-	case magic:
-		return loadV1(r)
-	case magicV2:
-		return loadV2Stream(r)
+	if head != magicV2 {
+		return nil, errMagic(head)
 	}
-	return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	return loadV2Stream(r)
 }
 
-// loadV1 decodes a v1 stream (after its magic) straight into the CSR arena:
-// the variable-length collections append to two flat data arrays while the
-// offset arrays record the boundaries, so the decode performs O(1)
-// allocations in the posting count instead of one per list.
-func loadV1(r io.Reader) (*core.Index, error) {
-	cr := &crcReader{r: bufio.NewReaderSize(flate.NewReader(r), 1<<16)}
-	readUvarint := func() (uint64, error) { return binary.ReadUvarint(cr) }
-
-	numSessions64, err := readUvarint()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	numItems64, err := readUvarint()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	capacity64, err := readUvarint()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	const limit = 1 << 31
-	if numSessions64 > limit || numItems64 > limit || capacity64 > limit {
-		return nil, fmt.Errorf("%w: implausible header", ErrCorrupt)
-	}
-	numSessions, numItems, capacity := int(numSessions64), int(numItems64), int(capacity64)
-
-	// Claimed counts are only trusted after their elements actually decode:
-	// every array below grows by append (with a bounded capacity hint), so a
-	// forged header cannot drive a huge allocation — memory tracks bytes
-	// actually read. (A claimed 2^31 sessions would otherwise pre-allocate
-	// gigabytes from a 30-byte file; the loader fuzzer found exactly that.)
-	hint := func(n int) int { return min(n, 1<<16) }
-
-	times := make([]int64, 0, hint(numSessions))
-	prev := int64(0)
-	for i := 0; i < numSessions; i++ {
-		d, err := readUvarint()
-		if err != nil {
-			return nil, fmt.Errorf("%w: timestamps: %v", ErrCorrupt, err)
-		}
-		prev += int64(d)
-		times = append(times, prev)
-	}
-
-	// Per-session item lists into the session-item arena.
-	sessionItemOffsets := append(make([]uint32, 0, hint(numSessions+1)), 0)
-	var sessionItemData []sessions.ItemID
-	for s := 0; s < numSessions; s++ {
-		count, err := readUvarint()
-		if err != nil || count > limit {
-			return nil, fmt.Errorf("%w: session items: %v", ErrCorrupt, err)
-		}
-		for j := uint64(0); j < count; j++ {
-			v, err := readUvarint()
-			if err != nil || v >= numItems64 {
-				return nil, fmt.Errorf("%w: session item id: %v", ErrCorrupt, err)
-			}
-			sessionItemData = append(sessionItemData, sessions.ItemID(v))
-		}
-		total := uint64(sessionItemOffsets[s]) + count
-		if total > math.MaxUint32 {
-			return nil, fmt.Errorf("%w: session-item arena overflow", ErrCorrupt)
-		}
-		sessionItemOffsets = append(sessionItemOffsets, uint32(total))
-	}
-
-	// Per-item document frequency and posting list into the posting arena.
-	postingOffsets := append(make([]uint32, 0, hint(numItems+1)), 0)
-	var postingData []sessions.SessionID
-	df := make([]int32, 0, hint(numItems))
-	for i := 0; i < numItems; i++ {
-		f, err := readUvarint()
-		if err != nil || f > limit {
-			return nil, fmt.Errorf("%w: document frequency: %v", ErrCorrupt, err)
-		}
-		df = append(df, int32(f))
-		count, err := readUvarint()
-		if err != nil || count > limit {
-			return nil, fmt.Errorf("%w: posting length: %v", ErrCorrupt, err)
-		}
-		cur := uint64(0)
-		for k := uint64(0); k < count; k++ {
-			v, err := readUvarint()
-			if err != nil {
-				return nil, fmt.Errorf("%w: posting id: %v", ErrCorrupt, err)
-			}
-			if k == 0 {
-				cur = v
-			} else {
-				if v > cur {
-					return nil, fmt.Errorf("%w: posting delta underflow", ErrCorrupt)
-				}
-				cur -= v
-			}
-			if cur >= numSessions64 {
-				return nil, fmt.Errorf("%w: posting references unknown session", ErrCorrupt)
-			}
-			postingData = append(postingData, sessions.SessionID(cur))
-		}
-		total := uint64(postingOffsets[i]) + count
-		if total > math.MaxUint32 {
-			return nil, fmt.Errorf("%w: posting arena overflow", ErrCorrupt)
-		}
-		postingOffsets = append(postingOffsets, uint32(total))
-	}
-
-	// Verify the trailer: the CRC accumulated so far, compared against the
-	// stored value (which must not itself be folded into the running CRC).
-	want := cr.crc
-	var trailer [4]byte
-	for i := range trailer {
-		b, err := cr.r.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("%w: missing checksum trailer", ErrCorrupt)
-		}
-		trailer[i] = b
-	}
-	if binary.LittleEndian.Uint32(trailer[:]) != want {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-	// The flate stream must terminate cleanly right after the trailer;
-	// anything else means the file was truncated or has trailing garbage.
-	if _, err := cr.r.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("%w: stream does not end after checksum (%v)", ErrCorrupt, err)
-	}
-
-	idx, err := core.NewIndexFromCSR(core.CSR{
-		Times:              times,
-		PostingOffsets:     postingOffsets,
-		PostingData:        postingData,
-		SessionItemOffsets: sessionItemOffsets,
-		SessionItemData:    sessionItemData,
-		DF:                 df,
-	}, capacity, core.Arena{})
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return idx, nil
-}
-
-// SaveFile writes the index to path atomically (via a temporary file) in the
-// default format, v2.
-func SaveFile(path string, idx *core.Index) error {
-	return SaveFileFormat(path, idx, FormatV2)
-}
-
-// SaveFileFormat writes the index to path atomically in the requested
-// on-disk format ("v1" or "v2").
-func SaveFileFormat(path string, idx *core.Index, format string) (err error) {
-	var save func(io.Writer, *core.Index) error
-	switch format {
-	case FormatV1:
-		save = Save
-	case FormatV2, "":
-		save = SaveV2
-	default:
-		return fmt.Errorf("index: unknown format %q (want %q or %q)", format, FormatV1, FormatV2)
-	}
+// SaveFile writes the index to path atomically (via a temporary file).
+func SaveFile(path string, idx *core.Index) (err error) {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -347,7 +58,7 @@ func SaveFileFormat(path string, idx *core.Index, format string) (err error) {
 			os.Remove(tmp)
 		}
 	}()
-	if err = save(f, idx); err != nil {
+	if err = SaveV2(f, idx); err != nil {
 		f.Close()
 		return err
 	}
@@ -357,11 +68,11 @@ func SaveFileFormat(path string, idx *core.Index, format string) (err error) {
 	return os.Rename(tmp, path)
 }
 
-// LoadFile reads an index written by SaveFile. v2 files on little-endian
-// unix hosts are mmap(2)ed and reinterpreted in place — zero copies, O(1)
+// LoadFile reads an index written by SaveFile. On little-endian unix hosts
+// the file is mmap(2)ed and reinterpreted in place — zero copies, O(1)
 // allocations — and the returned index holds the mapping until Close;
-// elsewhere, and for v1 files, the file is decoded into a heap-resident
-// arena and Close is a no-op.
+// elsewhere the file is read into a heap-resident arena and Close is a
+// no-op.
 func LoadFile(path string) (*core.Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -373,14 +84,8 @@ func LoadFile(path string) (*core.Index, error) {
 	if _, err := io.ReadFull(f, head[:]); err != nil {
 		return nil, fmt.Errorf("%w: reading magic: %v", ErrCorrupt, err)
 	}
-	if head == magic {
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, err
-		}
-		return Load(f)
-	}
 	if head != magicV2 {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+		return nil, errMagic(head)
 	}
 	st, err := f.Stat()
 	if err != nil {

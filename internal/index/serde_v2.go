@@ -19,22 +19,19 @@ import (
 //	[8:16)   uint64 numSessions          (little-endian, like all fields)
 //	[16:24)  uint64 numItems
 //	[24:32)  uint64 capacity
-//	[32:36)  uint32 section count (7 or 8)
+//	[32:36)  uint32 section count (7)
 //	[36:40)  uint32 reserved (0)
-//	[40:E)   section table: count × {uint32 id, uint32 crc32, uint64 offset,
-//	         uint64 byteLen}, ids 1..count in order, offsets absolute and
+//	[40:E)   section table: 7 × {uint32 id, uint32 crc32, uint64 offset,
+//	         uint64 byteLen}, ids 1..7 in order, offsets absolute and
 //	         8-byte aligned, sections non-overlapping and in offset order
 //	[E:)     section payloads: raw little-endian arrays, 8-byte aligned
 //
 // Sections, in id order: session timestamps (int64), posting offsets
 // (uint32, numItems+1), posting data (uint32 session ids), session-item
 // offsets (uint32, numSessions+1), session-item data (uint32 item ids),
-// document frequencies (int32), idf weights (float64), and — only when the
-// index stores a non-identity posting layout — the posting remap (uint32
-// item→row, numItems entries). Files written before the remap existed carry
-// seven sections and load with the identity layout, so the section count is
-// the format's forward-compatible degree of freedom. Each section's CRC-32
-// (IEEE) covers exactly its payload bytes.
+// document frequencies (int32) and idf weights (float64). Item i's posting
+// list is row i of the posting arrays. Each section's CRC-32 (IEEE) covers
+// exactly its payload bytes.
 //
 // The payload arrays are the in-memory representation, so a loader on a
 // little-endian host may map the file and alias the sections directly —
@@ -47,8 +44,8 @@ var magicV2 = [8]byte{'S', 'R', 'N', 'I', 'D', 'X', '0', '2'}
 const (
 	v2HeaderSize   = 40
 	v2SectionSize  = 24
-	v2NumSections  = 7 // sections every v2 file carries
-	v2MaxSections  = 8 // + the optional posting remap
+	v2NumSections  = 7
+	v2TableEnd     = v2HeaderSize + v2NumSections*v2SectionSize // where the payloads begin
 	v2CountLimit   = 1 << 31
 	secTimes       = 1
 	secPostOffsets = 2
@@ -57,13 +54,7 @@ const (
 	secItemData    = 5
 	secDF          = 6
 	secIDF         = 7
-	secPostRemap   = 8
 )
-
-// v2TableEnd reports where a file's section payloads begin.
-func v2TableEnd(numSections int) uint64 {
-	return v2HeaderSize + uint64(numSections)*v2SectionSize
-}
 
 // hostLittleEndian gates the zero-copy reinterpretation of mapped sections;
 // big-endian hosts decode copies instead.
@@ -75,19 +66,17 @@ var hostLittleEndian = func() bool {
 // align8 rounds n up to the next multiple of 8.
 func align8(n uint64) uint64 { return (n + 7) &^ 7 }
 
-// v2Layout computes the section payloads and their file offsets for an
-// index about to be written: seven sections, plus the posting remap when the
-// index stores a non-identity layout.
+// v2Layout holds the section payloads of an index about to be written and
+// their file offsets.
 type v2Layout struct {
-	payloads [][]byte
-	offsets  []uint64
-	total    uint64
+	payloads [v2NumSections][]byte
+	offsets  [v2NumSections]uint64
 }
 
 func buildV2Layout(idx *core.Index) v2Layout {
 	c := idx.CSR()
 	var l v2Layout
-	l.payloads = [][]byte{
+	l.payloads = [v2NumSections][]byte{
 		int64LEBytes(c.Times),
 		uint32LEBytes(c.PostingOffsets),
 		sessionIDLEBytes(c.PostingData),
@@ -96,16 +85,11 @@ func buildV2Layout(idx *core.Index) v2Layout {
 		int32LEBytes(c.DF),
 		float64LEBytes(c.IDF),
 	}
-	if c.PostingRemap != nil {
-		l.payloads = append(l.payloads, uint32LEBytes(c.PostingRemap))
-	}
-	off := v2TableEnd(len(l.payloads))
-	l.offsets = make([]uint64, len(l.payloads))
+	off := uint64(v2TableEnd)
 	for i, p := range l.payloads {
 		l.offsets[i] = off
 		off = align8(off + uint64(len(p)))
 	}
-	l.total = off
 	return l
 }
 
@@ -114,13 +98,13 @@ func SaveV2(w io.Writer, idx *core.Index) error {
 	l := buildV2Layout(idx)
 
 	bw := bufio.NewWriterSize(w, 1<<16)
-	header := make([]byte, v2TableEnd(len(l.payloads)))
+	var header [v2TableEnd]byte
 	copy(header[0:8], magicV2[:])
 	le := binary.LittleEndian
 	le.PutUint64(header[8:16], uint64(idx.NumSessions()))
 	le.PutUint64(header[16:24], uint64(idx.NumItems()))
 	le.PutUint64(header[24:32], uint64(idx.Capacity()))
-	le.PutUint32(header[32:36], uint32(len(l.payloads)))
+	le.PutUint32(header[32:36], v2NumSections)
 	for i, p := range l.payloads {
 		entry := header[v2HeaderSize+i*v2SectionSize:]
 		le.PutUint32(entry[0:4], uint32(i+1))
@@ -205,18 +189,17 @@ func parseV2(buf []byte, arena core.Arena) (*core.Index, error) {
 	if numSessions64 > v2CountLimit || numItems64 > v2CountLimit || capacity64 > v2CountLimit {
 		return nil, fmt.Errorf("%w: implausible header", ErrCorrupt)
 	}
-	numSections := int(le.Uint32(buf[32:36]))
-	if numSections != v2NumSections && numSections != v2MaxSections {
-		return nil, fmt.Errorf("%w: section count %d, want %d or %d", ErrCorrupt, numSections, v2NumSections, v2MaxSections)
+	if n := le.Uint32(buf[32:36]); n != v2NumSections {
+		return nil, fmt.Errorf("%w: section count %d, want %d; rebuild the index with serenade-indexer", ErrCorrupt, n, v2NumSections)
 	}
-	if uint64(len(buf)) < v2TableEnd(numSections) {
+	if len(buf) < v2TableEnd {
 		return nil, fmt.Errorf("%w: truncated v2 section table", ErrCorrupt)
 	}
 
 	// Expected byte lengths of the fixed-size sections; 0 marks the two
 	// variable-length data sections (their lengths are cross-checked against
 	// the offset arrays by core.NewIndexFromCSR).
-	expect := [v2MaxSections]uint64{
+	expect := [v2NumSections]uint64{
 		numSessions64 * 8,
 		(numItems64 + 1) * 4,
 		0,
@@ -224,13 +207,12 @@ func parseV2(buf []byte, arena core.Arena) (*core.Index, error) {
 		0,
 		numItems64 * 4,
 		numItems64 * 8,
-		numItems64 * 4, // posting remap (when present)
 	}
-	elemSize := [v2MaxSections]uint64{8, 4, 4, 4, 4, 4, 8, 4}
+	elemSize := [v2NumSections]uint64{8, 4, 4, 4, 4, 4, 8}
 
-	var payloads [v2MaxSections][]byte
-	prevEnd := v2TableEnd(numSections)
-	for i := 0; i < numSections; i++ {
+	var payloads [v2NumSections][]byte
+	prevEnd := uint64(v2TableEnd)
+	for i := range payloads {
 		entry := buf[v2HeaderSize+i*v2SectionSize:]
 		id := le.Uint32(entry[0:4])
 		crc := le.Uint32(entry[4:8])
@@ -270,9 +252,6 @@ func parseV2(buf []byte, arena core.Arena) (*core.Index, error) {
 		SessionItemData:    itemIDSection(payloads[secItemData-1]),
 		DF:                 int32Section(payloads[secDF-1]),
 		IDF:                float64Section(payloads[secIDF-1]),
-	}
-	if numSections >= secPostRemap {
-		c.PostingRemap = uint32Section(payloads[secPostRemap-1])
 	}
 	releaseNow := func() error { return nil }
 	if !hostLittleEndian {

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"serenade/internal/core"
@@ -60,7 +61,7 @@ func TestV2RoundTripFileMmap(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "index.srn")
-	if err := SaveFileFormat(path, idx, FormatV2); err != nil {
+	if err := SaveFile(path, idx); err != nil {
 		t.Fatal(err)
 	}
 	back, err := LoadFile(path)
@@ -89,43 +90,6 @@ func TestV2RoundTripFileMmap(t *testing.T) {
 	if !back.Closed() {
 		t.Error("Closed() false after Close")
 	}
-}
-
-// TestV1V2RoundTripEquivalence: the same index shipped through both on-disk
-// formats must load to identical observable state — the compatibility
-// guarantee that lets a fleet mix old and new index files during rollout.
-func TestV1V2RoundTripEquivalence(t *testing.T) {
-	ds := smallDataset(t, 16)
-	idx, err := core.BuildIndex(ds, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	v1Path := filepath.Join(dir, "v1.srn")
-	if err := SaveFileFormat(v1Path, idx, FormatV1); err != nil {
-		t.Fatal(err)
-	}
-	fromV1, err := LoadFile(v1Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromV1.Mapped() {
-		t.Error("v1 load must not be mapped")
-	}
-	indexesEqual(t, idx, fromV1)
-
-	// Re-export the v1-loaded index as v2 and load that: still identical.
-	v2Path := filepath.Join(dir, "v2.srn")
-	if err := SaveFileFormat(v2Path, fromV1, FormatV2); err != nil {
-		t.Fatal(err)
-	}
-	fromV2, err := LoadFile(v2Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fromV2.Close()
-	indexesEqual(t, idx, fromV2)
-	indexesEqual(t, fromV1, fromV2)
 }
 
 func TestV2EmptyIndex(t *testing.T) {
@@ -183,11 +147,11 @@ func TestV2QueriesMatchReference(t *testing.T) {
 }
 
 // v2Sections parses the section table of a pristine v2 image so corruption
-// tests can aim at precise byte ranges (7 or 8 entries, per the header).
+// tests can aim at precise byte ranges.
 func v2Sections(t *testing.T, data []byte) []struct{ offset, byteLen uint64 } {
 	t.Helper()
 	le := binary.LittleEndian
-	secs := make([]struct{ offset, byteLen uint64 }, le.Uint32(data[32:36]))
+	secs := make([]struct{ offset, byteLen uint64 }, v2NumSections)
 	for i := range secs {
 		entry := data[v2HeaderSize+i*v2SectionSize:]
 		secs[i].offset = le.Uint64(entry[8:16])
@@ -241,8 +205,7 @@ func TestV2TruncationRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	pristine := saveV2Bytes(t, idx)
-	tableEnd := int(v2TableEnd(v2NumSections))
-	for _, cut := range []int{9, v2HeaderSize - 1, tableEnd - 4, tableEnd + 8, len(pristine) / 2, len(pristine) - 1} {
+	for _, cut := range []int{9, v2HeaderSize - 1, v2TableEnd - 4, v2TableEnd + 8, len(pristine) / 2, len(pristine) - 1} {
 		loadBoth(t, pristine[:cut], fmt.Sprintf("truncated to %d", cut))
 	}
 }
@@ -374,115 +337,55 @@ func TestV2MergePreconditionViolations(t *testing.T) {
 	}
 }
 
-// TestV2RemapRoundTrip: a popularity-remapped index serialises with the
-// optional eighth section and loads back — through both the mmap and the
-// stream path — with the remap intact and identical observable state to the
-// original identity-layout index.
-func TestV2RemapRoundTrip(t *testing.T) {
-	ds := smallDataset(t, 23)
-	idx, err := core.BuildIndex(ds, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	remapped, err := idx.RemappedByPopularity()
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := saveV2Bytes(t, remapped)
-	if got := binary.LittleEndian.Uint32(data[32:36]); got != v2MaxSections {
-		t.Fatalf("remapped index wrote %d sections, want %d", got, v2MaxSections)
-	}
+// removedFormats returns images of the two formats this loader no longer
+// reads: a v1 file (refused at its magic, so the body is immaterial), and a
+// v2 file carrying the retired eighth section (an identity posting remap)
+// behind an honest table and CRCs.
+func removedFormats(idx *core.Index) map[string][]byte {
+	v1 := append(bytes.Clone(magicV1[:]), "compressed stream"...)
 
-	fromFile, err := LoadFile(writeTemp(t, data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fromFile.Close()
-	if !fromFile.Remapped() {
-		t.Error("file-loaded index lost its posting remap")
-	}
-	indexesEqual(t, idx, fromFile)
-
-	fromStream, err := Load(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fromStream.Remapped() {
-		t.Error("stream-loaded index lost its posting remap")
-	}
-	indexesEqual(t, idx, fromStream)
-}
-
-// TestV2WithoutRemapLoadsIdentity pins backward compatibility: a plain
-// seven-section v2 file (everything written before the remap existed) still
-// loads, with the identity posting layout.
-func TestV2WithoutRemapLoadsIdentity(t *testing.T) {
-	ds := smallDataset(t, 24)
-	idx, err := core.BuildIndex(ds, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := saveV2Bytes(t, idx)
-	if got := binary.LittleEndian.Uint32(data[32:36]); got != v2NumSections {
-		t.Fatalf("identity-layout index wrote %d sections, want %d", got, v2NumSections)
-	}
-	back, err := LoadFile(writeTemp(t, data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer back.Close()
-	if back.Remapped() {
-		t.Error("seven-section file loaded with a remap")
-	}
-	indexesEqual(t, idx, back)
-}
-
-// TestV2RemapSectionAttacks aims hostile mutations at the remap section:
-// out-of-range rows and duplicate rows (with honestly recomputed CRCs, so the
-// permutation check itself must catch them), a wrong section id, a truncated
-// eighth table entry, and an absurd section count.
-func TestV2RemapSectionAttacks(t *testing.T) {
-	ds := smallDataset(t, 25)
-	idx, err := core.BuildIndex(ds, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	remapped, err := idx.RemappedByPopularity()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pristine := saveV2Bytes(t, remapped)
 	le := binary.LittleEndian
-	secs := v2Sections(t, pristine)
-	remapSec := secs[secPostRemap-1]
-	if remapSec.byteLen < 8 {
-		t.Fatal("remap section implausibly small")
+	l := buildV2Layout(idx)
+	remap := make([]byte, 4*idx.NumItems())
+	for i := range idx.NumItems() {
+		le.PutUint32(remap[4*i:], uint32(i))
 	}
-
-	patchPayload := func(label string, mutate func(payload []byte)) {
-		data := append([]byte(nil), pristine...)
-		payload := data[remapSec.offset : remapSec.offset+remapSec.byteLen]
-		mutate(payload)
-		entry := data[v2HeaderSize+(secPostRemap-1)*v2SectionSize:]
-		le.PutUint32(entry[4:8], crc32.ChecksumIEEE(payload))
-		loadBoth(t, data, label)
+	payloads := append(l.payloads[:], remap)
+	tableEnd := v2HeaderSize + len(payloads)*v2SectionSize
+	v8 := make([]byte, tableEnd)
+	copy(v8, magicV2[:])
+	le.PutUint64(v8[8:], uint64(idx.NumSessions()))
+	le.PutUint64(v8[16:], uint64(idx.NumItems()))
+	le.PutUint64(v8[24:], uint64(idx.Capacity()))
+	le.PutUint32(v8[32:], uint32(len(payloads)))
+	for i, p := range payloads {
+		entry := v8[v2HeaderSize+i*v2SectionSize:]
+		le.PutUint32(entry[0:], uint32(i+1))
+		le.PutUint32(entry[4:], crc32.ChecksumIEEE(p))
+		le.PutUint64(entry[8:], uint64(len(v8)))
+		le.PutUint64(entry[16:], uint64(len(p)))
+		v8 = append(v8, p...)
+		v8 = append(v8, make([]byte, align8(uint64(len(v8)))-uint64(len(v8)))...)
 	}
-	patchPayload("remap row out of range", func(p []byte) {
-		le.PutUint32(p, uint32(remapped.NumItems()))
-	})
-	patchPayload("remap row duplicated", func(p []byte) {
-		le.PutUint32(p, le.Uint32(p[4:8]))
-	})
+	return map[string][]byte{"v1 stream": v1, "eight-section v2": v8}
+}
 
-	data := append([]byte(nil), pristine...)
-	le.PutUint32(data[v2HeaderSize+(secPostRemap-1)*v2SectionSize:], 9)
-	loadBoth(t, data, "remap section wrong id")
-
-	data = append([]byte(nil), pristine...)
-	le.PutUint32(data[32:36], 9)
-	loadBoth(t, data, "section count 9")
-
-	loadBoth(t, pristine[:v2TableEnd(v2MaxSections)-4], "table truncated before remap entry")
+// TestLoadRejectsRemovedFormats: files in a retired format fail both load
+// paths as corrupt, and the error says how to get a file that loads.
+func TestLoadRejectsRemovedFormats(t *testing.T) {
+	idx, err := core.BuildIndex(smallDataset(t, 23), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for label, data := range removedFormats(idx) {
+		_, errStream := Load(bytes.NewReader(data))
+		_, errFile := LoadFile(writeTemp(t, data))
+		for _, err := range []error{errStream, errFile} {
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "serenade-indexer") {
+				t.Errorf("%s: err = %v, want ErrCorrupt naming serenade-indexer", label, err)
+			}
+		}
+	}
 }
 
 // TestLoadFileV2Allocs pins the headline property of the v2 loader: the
@@ -529,8 +432,7 @@ func TestLoadFileV2Allocs(t *testing.T) {
 
 // --- load benchmarks (EXPERIMENTS.md E13) ---
 
-func benchIndexFiles(b *testing.B) (v1Path, v2Path string) {
-	b.Helper()
+func BenchmarkLoadFileV2Mmap(b *testing.B) {
 	cfg := synth.Small(44)
 	cfg.NumSessions = 20_000
 	cfg.NumItems = 5_000
@@ -542,37 +444,11 @@ func benchIndexFiles(b *testing.B) (v1Path, v2Path string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	dir := b.TempDir()
-	v1Path = filepath.Join(dir, "v1.srn")
-	v2Path = filepath.Join(dir, "v2.srn")
-	if err := SaveFileFormat(v1Path, idx, FormatV1); err != nil {
-		b.Fatal(err)
-	}
-	if err := SaveFileFormat(v2Path, idx, FormatV2); err != nil {
-		b.Fatal(err)
-	}
-	return v1Path, v2Path
-}
-
-func BenchmarkLoadFileV1(b *testing.B) {
-	v1Path, _ := benchIndexFiles(b)
+	path := writeTemp(b, saveV2Bytes(b, idx))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		idx, err := LoadFile(v1Path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		idx.Close()
-	}
-}
-
-func BenchmarkLoadFileV2Mmap(b *testing.B) {
-	_, v2Path := benchIndexFiles(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx, err := LoadFile(v2Path)
+		idx, err := LoadFile(path)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -35,12 +35,13 @@ func replaySessions(t *testing.T, s *Server, lap string, seed int64, users, clic
 	return out
 }
 
-// checkCacheMatchesDefault is the serving-layer differential check: a caching
-// server must answer the same traffic with exactly the responses of the
-// default server. The second lap replays the first under fresh session keys,
-// so it is answered from the cache (the TTL outlives the test).
-func checkCacheMatchesDefault(t *testing.T, p core.Params) {
-	t.Helper()
+// TestCachedRecommendMatchesDefault is the serving-layer differential check:
+// a caching server must answer the same traffic with exactly the responses
+// of the default server. The second lap replays the first under fresh
+// session keys, so it is answered from the cache (the TTL outlives the
+// test).
+func TestCachedRecommendMatchesDefault(t *testing.T) {
+	p := core.Params{M: 100, K: 50}
 	plain := testServer(t, Config{Params: p})
 	cached := testServer(t, Config{Params: p, ResultCacheSize: 1024, ResultCacheTTL: time.Hour})
 	for _, lap := range []string{"first", "second"} {
@@ -53,16 +54,6 @@ func checkCacheMatchesDefault(t *testing.T, p core.Params) {
 	if st := cached.Stats(); st.CacheHits < 6*8 {
 		t.Errorf("%d cache hits, want the whole second lap (%d) answered from the cache", st.CacheHits, 6*8)
 	}
-}
-
-func TestCachedRecommendMatchesDefault(t *testing.T) {
-	checkCacheMatchesDefault(t, core.Params{M: 100, K: 50})
-}
-
-// TestCachedFloat32MatchesDefault runs the differential check with the
-// float32 accumulator, through the whole serving stack.
-func TestCachedFloat32MatchesDefault(t *testing.T) {
-	checkCacheMatchesDefault(t, core.Params{M: 100, K: 50, Float32Scores: true})
 }
 
 // TestStagePartitionAcrossCacheModes pins the stage attribution of the one

@@ -366,7 +366,7 @@ func TestSwapIndexDrainsMmapGenerations(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "index.srn")
-	if err := index.SaveFileFormat(path, built, index.FormatV2); err != nil {
+	if err := index.SaveFile(path, built); err != nil {
 		t.Fatal(err)
 	}
 	load := func() *core.Index {

@@ -178,26 +178,12 @@ func BuildIndexParallel(ds *Dataset, capacity, workers int) (*Index, error) {
 	return index.Build(dataflow.NewEngine(workers), sessions.Renumber(ds), capacity)
 }
 
-// SaveIndex writes the index to path in the default on-disk format (v2: the
-// mmap-able CSR section format). Use SaveIndexFormat to write the v1
-// compressed stream instead.
+// SaveIndex writes the index to path in the mmap-able CSR section format
+// LoadIndex reads.
 func SaveIndex(path string, idx *Index) error { return index.SaveFile(path, idx) }
 
-// SaveIndexFormat writes the index to path in the requested on-disk format:
-// "v1" is the flate-compressed varint stream, "v2" (the default) the
-// section-table format LoadIndex can map into memory without decoding.
-func SaveIndexFormat(path string, idx *Index, format string) error {
-	return index.SaveFileFormat(path, idx, format)
-}
-
-// On-disk index format names accepted by SaveIndexFormat.
-const (
-	IndexFormatV1 = index.FormatV1
-	IndexFormatV2 = index.FormatV2
-)
-
 // LoadIndex reads an index written by SaveIndex, verifying its checksums.
-// v2 files are mmap(2)ed and served zero-copy straight from the page cache
+// The file is mmap(2)ed and served zero-copy straight from the page cache
 // where the platform supports it — check (*Index).Mapped — and such indexes
 // must be released with (*Index).Close once no reader can touch them
 // (ServerConfig.OwnIndex automates this for serving rollovers).
