@@ -45,8 +45,10 @@ bench-check:
 	$(GO) test -C benchmark ./...
 
 # Hot-path scoring kernel vs the retained map-based reference, including
-# BenchmarkNeighborSessionsHot: candidate selection over 9 capped posting
-# lists, the shape of the harness's hot-long-closed workload.
+# BenchmarkNeighborSessionsHot (candidate selection over 9 capped posting
+# lists) and BenchmarkRecommendHot (the whole kernel over every prefix of
+# those sessions at k = 100 and 500): the shape of the harness's
+# hot-long-closed workload.
 kernel-bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkRecommend|BenchmarkNeighborSessions' -benchmem ./internal/core
 

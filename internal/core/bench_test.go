@@ -82,24 +82,11 @@ func BenchmarkNeighborSessionsMapReference(b *testing.B) {
 }
 
 // BenchmarkNeighborSessionsHot measures candidate selection in the shape
-// of the benchmark harness's hot-long-closed workload: the ecom-60m-sim
-// profile's training days indexed at capacity 1000, and 20-click sessions
-// over its 64 most frequent items, so every query's 9-item tail is 9 long
-// posting lists, most at the cap. "kernel" is the merge, "reference" the
-// map-based walk it replaced.
+// of the benchmark harness's hot-long-closed workload (see hotIndex): every
+// query's 9-item tail is 9 long posting lists, most at the cap. "kernel" is
+// the merge, "reference" the map-based walk it replaced.
 func BenchmarkNeighborSessionsHot(b *testing.B) {
-	cfg, err := synth.Profile("ecom-60m-sim")
-	if err != nil {
-		b.Fatal(err)
-	}
-	full, err := synth.Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	idx, err := BuildIndex(sessions.Renumber(sessions.TemporalSplit(full, 1).Train), 1000)
-	if err != nil {
-		b.Fatal(err)
-	}
+	idx := hotIndex(b)
 	queries := hotTails(idx, 256, 3)
 	p := Params{M: 500, K: 100}
 	kernel, err := NewRecommender(idx, p)
@@ -123,6 +110,55 @@ func BenchmarkNeighborSessionsHot(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkRecommendHot is the whole kernel in the harness's
+// hot-long-closed shape: every prefix 1–20 of the hot-tail sessions, as a
+// session grows click by click, n = 21 (the server's 2·10+1 over-fetch),
+// M = 500, at K = 100 and at K = 500, the shipped default.
+func BenchmarkRecommendHot(b *testing.B) {
+	idx := hotIndex(b)
+	var queries [][]sessions.ItemID
+	for _, s := range hotTails(idx, 256, 3) {
+		for end := 1; end <= len(s); end++ {
+			queries = append(queries, s[:end])
+		}
+	}
+	for _, k := range []int{100, 500} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			r, err := NewRecommender(idx, Params{M: 500, K: k})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, q := range queries[:64] {
+				r.Recommend(q, 21)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.Recommend(queries[i%len(queries)], 21)
+			}
+		})
+	}
+}
+
+// hotIndex indexes the ecom-60m-sim profile's training days at capacity
+// 1000, the harness's index.
+func hotIndex(b *testing.B) *Index {
+	b.Helper()
+	cfg, err := synth.Profile("ecom-60m-sim")
+	if err != nil {
+		b.Fatal(err)
+	}
+	full, err := synth.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	idx, err := BuildIndex(sessions.Renumber(sessions.TemporalSplit(full, 1).Train), 1000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return idx
 }
 
 // hotTails draws n sessions of 20 clicks over the index's 64 most frequent
@@ -201,31 +237,62 @@ func BenchmarkBuildIndex(b *testing.B) {
 }
 
 // TestRecommendSteadyStateZeroAlloc pins the kernel's headline property: a
-// steady-state query allocates nothing on the heap.
+// steady-state query allocates nothing on the heap — at K < M and K = M, and
+// with every query's distinct tail items filling MaxSessionLength, so head
+// masks use the mask table at full width (2^16 entries in the last case).
 func TestRecommendSteadyStateZeroAlloc(t *testing.T) {
 	idx := benchSetup(t)
-	r, err := NewRecommender(idx, Params{M: 500, K: 100})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		p    Params
+	}{
+		{"k<m", Params{M: 500, K: 100}},
+		{"k=m", Params{M: 500, K: 500}},
+		{"k=m,len=16", Params{M: 500, K: 500, MaxSessionLength: maxHeads}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := NewRecommender(idx, tc.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			queries := distinctQueries(idx, r.Params().MaxSessionLength)
+			// Warm-up: let outBuf/touched grow to their steady-state sizes.
+			for _, q := range queries {
+				r.Recommend(q, 21)
+			}
+			var i int
+			allocs := testing.AllocsPerRun(200, func() {
+				r.Recommend(queries[i%len(queries)], 21)
+				i++
+			})
+			if allocs != 0 {
+				t.Errorf("steady-state Recommend allocates %.1f times per op, want 0", allocs)
+			}
+			allocs = testing.AllocsPerRun(200, func() {
+				r.NeighborSessions(queries[i%len(queries)])
+				i++
+			})
+			if allocs != 0 {
+				t.Errorf("steady-state NeighborSessions allocates %.1f times per op, want 0", allocs)
+			}
+		})
 	}
-	queries := benchQueries(9)
-	// Warm-up: let nbrBuf/outBuf/touched grow to their steady-state sizes.
-	for _, q := range queries {
-		r.Recommend(q, 21)
+}
+
+// distinctQueries draws 256 queries of length distinct items, each with a
+// non-empty posting list, so every query has one head per position.
+func distinctQueries(idx *Index, length int) [][]sessions.ItemID {
+	rng := rand.New(rand.NewSource(2))
+	queries := make([][]sessions.ItemID, 256)
+	for i := range queries {
+		q := make([]sessions.ItemID, 0, length)
+		for len(q) < length {
+			item := sessions.ItemID(rng.Intn(idx.NumItems()))
+			if len(idx.Postings(item)) > 0 && !slices.Contains(q, item) {
+				q = append(q, item)
+			}
+		}
+		queries[i] = q
 	}
-	var i int
-	allocs := testing.AllocsPerRun(200, func() {
-		r.Recommend(queries[i%len(queries)], 21)
-		i++
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state Recommend allocates %.1f times per op, want 0", allocs)
-	}
-	allocs = testing.AllocsPerRun(200, func() {
-		r.NeighborSessions(queries[i%len(queries)])
-		i++
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state NeighborSessions allocates %.1f times per op, want 0", allocs)
-	}
+	return queries
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -85,10 +86,18 @@ func TestParamsValidate(t *testing.T) {
 		{M: 10, K: 0},
 		{M: 10, K: 11}, // k > m
 		{M: 10, K: 5, HeapArity: 1},
+		{M: 10, K: 5, MaxSessionLength: maxHeads + 1},
 	} {
 		if err := p.Validate(); err == nil {
 			t.Errorf("params %+v accepted, want error", p)
 		}
+	}
+	// A head mask holds one bit per distinct tail item: 16 is the cap.
+	if err := (Params{M: 10, K: 5, MaxSessionLength: maxHeads}).Validate(); err != nil {
+		t.Errorf("MaxSessionLength %d rejected: %v", maxHeads, err)
+	}
+	if err := (Params{M: 10, K: 5, MaxSessionLength: maxHeads + 1}).Validate(); !errors.Is(err, ErrMaxSessionLength) {
+		t.Errorf("MaxSessionLength %d: Validate = %v, want ErrMaxSessionLength", maxHeads+1, err)
 	}
 }
 
@@ -324,7 +333,7 @@ func TestCloneSharesNoMutableState(t *testing.T) {
 	idx := mustIndex(t, randomDataset(rng, 150, 25), 0)
 	rec := mustRecommender(t, idx, Params{M: 12, K: 6})
 	clone := rec.Clone()
-	if clone.acc == rec.acc || &clone.heads[:1][0] == &rec.heads[:1][0] || &clone.nbrBuf[:1][0] == &rec.nbrBuf[:1][0] {
+	if clone.acc == rec.acc || &clone.heads[:1][0] == &rec.heads[:1][0] || clone.sel == rec.sel {
 		t.Fatal("Clone shares mutable kernel state with its origin")
 	}
 }

@@ -1,6 +1,14 @@
 package core
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
+
+// ErrMaxSessionLength is returned by Params.Validate when MaxSessionLength
+// exceeds 16: the kernel tags each candidate with a bit per distinct tail
+// item and counts candidates in a table of 2^MaxSessionLength entries.
+var ErrMaxSessionLength = errors.New("core: MaxSessionLength exceeds 16, the width of the kernel's head masks")
 
 func errBadParam(name string, v int) error {
 	return fmt.Errorf("core: parameter %s = %d is invalid", name, v)

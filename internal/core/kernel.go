@@ -1,19 +1,32 @@
 package core
 
-import "serenade/internal/sessions"
+import (
+	"math/bits"
+	"unsafe"
+
+	"serenade/internal/sessions"
+)
 
 // This file implements the dense data structures behind the zero-allocation
 // VMIS-kNN query kernel (see DESIGN.md, "Dense scoring kernel"). The index
 // hands out dense integer session and item identifiers, with session ids
 // ascending in time, so the per-query temporaries of Algorithm 2 need none of
-// the hashing, heaps and bucket chasing of the map-based reference:
+// the hashing, heaps, sorts and bucket chasing of the map-based reference:
 //
 //   - candidate selection is a k-way merge over the heads of the tail items'
 //     posting lists, each sorted by descending session id: it emits the M
-//     most recent distinct sessions of their union, each with its full
-//     score, and touches nothing but the postings it consumes;
+//     most recent distinct sessions of their union, each with the set of
+//     heads holding it, and touches nothing but the postings it consumes;
+//   - a candidate's similarity depends only on that head set, so the top K
+//     is one counting pass over the few distinct sets, in emission order;
 //   - the item score accumulator becomes a flat []float64 over the dense
-//     item-id space with a touched-list for sparse O(hits) reset.
+//     item-id space with a touched-list for sparse O(hits) reset, and the
+//     top n is kept by bounded insertion.
+
+// maxHeads caps Params.MaxSessionLength: the merge keeps one bit per
+// distinct tail item in a head mask, and counts candidates in a table of
+// 2^MaxSessionLength entries indexed by mask.
+const maxHeads = 16
 
 // postingHead is one distinct tail item's posting list in the candidate
 // merge: the unconsumed suffix of the list (descending session id), the
@@ -25,114 +38,176 @@ type postingHead struct {
 	pos      int32
 }
 
-// postingHeadBytes is the in-memory size of a postingHead, for footprint
-// accounting (a 24-byte slice header, 8 bytes of pi, 4+4 of item and pos).
-const postingHeadBytes = 40
+// candidate is one session the merge emits, with the set of heads, as bits
+// in list order, whose posting lists hold it.
+type candidate struct {
+	id   sessions.SessionID
+	mask uint32
+}
 
-// mergeNeighbors appends to ns, most recent first, the at most m most recent
-// distinct sessions in the union of the heads' posting lists, and consumes
-// the heads. Each session's score sums π over the lists containing it in
-// list order, and its MaxPos is the position of the first such list — the
-// same float sums, in the same order, as Algorithm 2's candidate loop. That
-// loop's result is exactly this set: an evicted or rejected session is older
-// than every survivor, and a survivor is admitted at its first posting and
-// never evicted, so it collects every contribution. Ids ascend with time, so
-// "most recent" is "largest id", and timestamps are read only for the
-// sessions that come out.
-func mergeNeighbors(ns []Neighbor, heads []postingHead, m int, times []int64) []Neighbor {
-	for len(ns) < m && len(heads) > 0 {
-		best, id := 0, heads[0].postings[0]
-		for i := 1; i < len(heads); i++ {
-			if h := heads[i].postings[0]; h > id {
-				best, id = i, h
-			}
+// maskGroup is one distinct head mask among a query's candidates and the
+// similarity they all share. The first group of a run of equal scores also
+// holds the run's next free and end slots in the top K.
+type maskGroup struct {
+	score     float64
+	mask      uint32
+	next, end int32
+}
+
+// neighborSelector is the candidate-selection scratch of one Recommender.
+// Every buffer is sized from the parameters at construction, so a query
+// allocates nothing.
+type neighborSelector struct {
+	cur    []int64     // each head's current session id, −1 once exhausted
+	cands  []candidate // the merge's ≤ M candidates, in emission order
+	counts []int32     // per mask: its candidates, then its run's first group
+	masks  []uint32    // the masks with a nonzero counts entry
+	groups []maskGroup // one per distinct mask, by descending score
+	top    []Neighbor  // the top K
+}
+
+func newNeighborSelector(maxLen, m, k int) *neighborSelector {
+	distinct := min(m, 1<<maxLen-1)
+	return &neighborSelector{
+		cur:    make([]int64, maxLen),
+		cands:  make([]candidate, 0, m),
+		counts: make([]int32, 1<<maxLen),
+		masks:  make([]uint32, 0, distinct),
+		groups: make([]maskGroup, 0, distinct),
+		top:    make([]Neighbor, k),
+	}
+}
+
+// footprint reports the selector's in-memory size in bytes.
+func (s *neighborSelector) footprint() int64 {
+	return int64(len(s.cur))*8 +
+		int64(cap(s.cands))*int64(unsafe.Sizeof(candidate{})) +
+		int64(len(s.counts))*4 +
+		int64(cap(s.masks))*4 +
+		int64(cap(s.groups))*int64(unsafe.Sizeof(maskGroup{})) +
+		int64(len(s.top))*int64(unsafe.Sizeof(Neighbor{}))
+}
+
+// selectNeighbors returns the k most similar of the at most m most recent
+// distinct sessions in the union of the heads' posting lists, most similar
+// first, and consumes the heads. The result aliases the selector's buffer.
+//
+// A session's similarity is the sum of π over the lists holding it, in list
+// order, and its MaxPos is the position of the first such list: the same
+// float sums, in the same order, as Algorithm 2's candidate loop. That
+// loop's candidate set is exactly the merge's: an evicted or rejected
+// session is older than every survivor, and a survivor is admitted at its
+// first posting and never evicted, so it collects every contribution.
+//
+// Neighbours order by (score, time, id). The index guarantees that times
+// never decrease in id, so that is (score, id), and within equal scores the
+// merge's descending-id emission order is already the output order.
+// Timestamps are read only for the ≤ k sessions returned.
+func (s *neighborSelector) selectNeighbors(heads []postingHead, m, k int, times []int64) []Neighbor {
+	s.merge(heads, m)
+	k = min(k, len(s.cands))
+
+	// Score each distinct mask, summing π in ascending bit order, and
+	// insert its group by descending score. Scores start from +0.0, so
+	// equal scores are bitwise equal.
+	groups := s.groups[:0]
+	for _, mask := range s.masks {
+		g := maskGroup{mask: mask}
+		for b := mask; b != 0; b &= b - 1 {
+			g.score += heads[bits.TrailingZeros32(b)].pi
 		}
-		maxPos := heads[best].pos
-		score := 0.0
-		live := best
-		for i := best; i < len(heads); i++ {
+		i := len(groups)
+		groups = append(groups, g)
+		for ; i > 0 && groups[i-1].score < g.score; i-- {
+			groups[i] = groups[i-1]
+		}
+		groups[i] = g
+	}
+	s.groups = groups
+
+	// Lay the runs of equal scores out in order, each one's end cut at k,
+	// and point every mask at its run's first group.
+	var off int32
+	lead := 0
+	for i := range groups {
+		g := &groups[i]
+		if i == 0 || g.score != groups[lead].score {
+			lead = i
+			g.next = off
+		}
+		off += s.counts[g.mask]
+		groups[lead].end = min(off, int32(k))
+		s.counts[g.mask] = int32(lead)
+	}
+
+	// Scatter the candidates, in emission order, into their runs' slots
+	// until every slot below k is filled.
+	top := s.top[:k]
+	for i, filled := 0, 0; filled < k; i++ {
+		c := s.cands[i]
+		run := &groups[s.counts[c.mask]]
+		if run.next < run.end {
+			top[run.next] = Neighbor{
+				ID:     c.id,
+				Score:  run.score,
+				MaxPos: int(heads[bits.TrailingZeros32(c.mask)].pos),
+				Time:   times[c.id],
+			}
+			run.next++
+			filled++
+		}
+	}
+	for _, mask := range s.masks {
+		s.counts[mask] = 0
+	}
+	return top
+}
+
+// merge fills s.cands with the at most m most recent distinct sessions in
+// the union of the heads' posting lists, most recent first, each with its
+// head mask, and counts them per mask. It consumes the heads.
+func (s *neighborSelector) merge(heads []postingHead, m int) {
+	cur := s.cur[:len(heads)]
+	for i := range heads {
+		cur[i] = int64(heads[i].postings[0])
+	}
+	cands, masks := s.cands[:0], s.masks[:0]
+	for len(cands) < m {
+		id := int64(-1)
+		for _, c := range cur {
+			id = max(id, c)
+		}
+		if id < 0 {
+			break // every list is exhausted
+		}
+		var mask uint32
+		for i, c := range cur {
+			mask |= b2u(c == id) << i
+		}
+		for b := mask; b != 0; b &= b - 1 {
+			i := bits.TrailingZeros32(b)
 			h := &heads[i]
-			if h.postings[0] == id {
-				score += h.pi
-				h.postings = h.postings[1:]
-				if len(h.postings) == 0 {
-					continue // exhausted: drop it, keeping list order
-				}
+			h.postings = h.postings[1:]
+			cur[i] = -1
+			if len(h.postings) > 0 {
+				cur[i] = int64(h.postings[0])
 			}
-			if live != i {
-				heads[live] = *h
-			}
-			live++
 		}
-		heads = heads[:live]
-		ns = append(ns, Neighbor{ID: id, Score: score, MaxPos: int(maxPos), Time: times[id]})
+		if s.counts[mask] == 0 {
+			masks = append(masks, mask)
+		}
+		s.counts[mask]++
+		cands = append(cands, candidate{id: sessions.SessionID(id), mask: mask})
 	}
-	return ns
+	s.cands, s.masks = cands, masks
 }
 
-// neighborBetter reports whether a ranks strictly before b in the descending
-// neighbour order: higher similarity first, and the more recent session
-// first on equal similarity (Algorithm 2 lines 37-38), recency meaning
-// (time, id) so that same-second sessions order too. It is the same total
-// order the reference path's bounded heap realises.
-func neighborBetter(a, b Neighbor) bool {
-	if a.Score != b.Score {
-		return a.Score > b.Score
+// b2u converts a comparison to a bit without a branch.
+func b2u(b bool) uint32 {
+	if b {
+		return 1
 	}
-	if a.Time != b.Time {
-		return a.Time > b.Time
-	}
-	return a.ID > b.ID
-}
-
-// selectTopNeighbors partially partitions ns so its first k elements are the
-// k best under neighborBetter, in arbitrary order (quickselect with
-// median-of-three pivots). The kernel uses it instead of a bounded heap:
-// selecting k of m candidates costs O(m + k log k) comparisons through a
-// direct (inlinable) comparison instead of O(m log k) through a heap's
-// indirect less function, and the profile shows the top-k stage — not the
-// intersection loop — dominates once the accumulators are dense.
-func selectTopNeighbors(ns []Neighbor, k int) {
-	lo, hi := 0, len(ns)-1
-	for lo < hi {
-		p := partitionNeighbors(ns, lo, hi)
-		switch {
-		case p == k-1:
-			return
-		case p < k-1:
-			lo = p + 1
-		default:
-			hi = p - 1
-		}
-	}
-}
-
-// partitionNeighbors partitions ns[lo:hi+1] around a median-of-three pivot
-// and returns the pivot's final index: everything before it ranks better,
-// everything after it ranks no better.
-func partitionNeighbors(ns []Neighbor, lo, hi int) int {
-	mid := int(uint(lo+hi) >> 1)
-	if neighborBetter(ns[mid], ns[lo]) {
-		ns[lo], ns[mid] = ns[mid], ns[lo]
-	}
-	if neighborBetter(ns[hi], ns[mid]) {
-		ns[mid], ns[hi] = ns[hi], ns[mid]
-		if neighborBetter(ns[mid], ns[lo]) {
-			ns[lo], ns[mid] = ns[mid], ns[lo]
-		}
-	}
-	// ns[mid] now holds the median of the three; use it as the pivot.
-	ns[mid], ns[hi] = ns[hi], ns[mid]
-	pivot := ns[hi]
-	i := lo
-	for j := lo; j < hi; j++ {
-		if neighborBetter(ns[j], pivot) {
-			ns[i], ns[j] = ns[j], ns[i]
-			i++
-		}
-	}
-	ns[i], ns[hi] = ns[hi], ns[i]
-	return i
+	return 0
 }
 
 // scoredItemBetter reports whether a ranks strictly before b in the output
@@ -143,49 +218,6 @@ func scoredItemBetter(a, b ScoredItem) bool {
 		return a.Score > b.Score
 	}
 	return a.Item < b.Item
-}
-
-// selectTopScoredItems is selectTopNeighbors for the output stage: it
-// partially partitions out so its first n elements are the n best under
-// scoredItemBetter. (Specialised rather than generic so the comparison
-// inlines into the partition loop.)
-func selectTopScoredItems(out []ScoredItem, n int) {
-	lo, hi := 0, len(out)-1
-	for lo < hi {
-		p := partitionScoredItems(out, lo, hi)
-		switch {
-		case p == n-1:
-			return
-		case p < n-1:
-			lo = p + 1
-		default:
-			hi = p - 1
-		}
-	}
-}
-
-func partitionScoredItems(out []ScoredItem, lo, hi int) int {
-	mid := int(uint(lo+hi) >> 1)
-	if scoredItemBetter(out[mid], out[lo]) {
-		out[lo], out[mid] = out[mid], out[lo]
-	}
-	if scoredItemBetter(out[hi], out[mid]) {
-		out[mid], out[hi] = out[hi], out[mid]
-		if scoredItemBetter(out[mid], out[lo]) {
-			out[lo], out[mid] = out[mid], out[lo]
-		}
-	}
-	out[mid], out[hi] = out[hi], out[mid]
-	pivot := out[hi]
-	i := lo
-	for j := lo; j < hi; j++ {
-		if scoredItemBetter(out[j], pivot) {
-			out[i], out[j] = out[j], out[i]
-			i++
-		}
-	}
-	out[i], out[hi] = out[hi], out[i]
-	return i
 }
 
 // itemAccumulator is the flat item-scoring accumulator: a dense score array

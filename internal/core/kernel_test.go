@@ -1,33 +1,43 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"serenade/internal/sessions"
 )
 
-// TestMergeNeighborsAgainstMap drives the posting-list merge with random
-// descending lists (shared sessions, empty-after-one lists, m both above and
-// below the union size) and checks it against a plain map oracle of the
-// union: the m largest ids, each scored by summing π over its lists in list
-// order, with MaxPos from the first list containing it.
-func TestMergeNeighborsAgainstMap(t *testing.T) {
+// TestSelectNeighborsAgainstMap drives the posting-list merge and the
+// counting top-K with random descending lists and checks them against a
+// plain map oracle of the union: the m largest ids, each scored by summing
+// π over its lists in list order, with MaxPos from the first list holding
+// it, sorted by (score, id) and cut at k. Every π is a multiple of 0.25, so
+// sums over different sets of lists coincide bitwise (0.25 + 0.5 == 0.75)
+// and runs of equal scores span several head masks. The rounds cover m
+// above and below the union size, k == m, k == 1, and a k boundary that
+// falls inside a tie run spanning two masks.
+func TestSelectNeighborsAgainstMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	times := make([]int64, 64)
 	for i := range times {
-		times[i] = int64(i / 3) // ties: timestamps never order the merge
+		times[i] = int64(i / 3) // non-decreasing in id, with ties
 	}
-	for round := 0; round < 500; round++ {
+	type acc struct {
+		id     sessions.SessionID
+		score  float64
+		maxPos int
+		mask   uint32
+	}
+	var mBelowUnion, mAboveUnion, splitTies int
+	for round := 0; round < 1000; round++ {
 		var heads []postingHead
-		type acc struct {
-			score  float64
-			maxPos int
-		}
 		oracle := map[sessions.SessionID]*acc{}
-		for pos := 1 + rng.Intn(9); pos >= 1; pos-- {
+		universe := 8 + rng.Intn(len(times)-7)
+		for pos := 1 + rng.Intn(maxHeads); pos >= 1; pos-- {
 			var list []sessions.SessionID
-			for id := 63; id >= 0; id-- {
+			for id := universe - 1; id >= 0; id-- {
 				if rng.Intn(4) == 0 {
 					list = append(list, sessions.SessionID(id))
 				}
@@ -35,46 +45,75 @@ func TestMergeNeighborsAgainstMap(t *testing.T) {
 			if len(list) == 0 {
 				continue
 			}
-			pi := rng.Float64()
+			pi := 0.25 * float64(1+rng.Intn(4))
+			bit := uint32(1) << len(heads)
 			heads = append(heads, postingHead{postings: list, pi: pi, item: sessions.ItemID(pos), pos: int32(pos)})
 			for _, id := range list {
 				if a, ok := oracle[id]; ok {
 					a.score += pi
+					a.mask |= bit
 				} else {
-					oracle[id] = &acc{score: pi, maxPos: pos}
+					oracle[id] = &acc{id: id, score: pi, maxPos: pos, mask: bit}
 				}
 			}
 		}
 		m := 1 + rng.Intn(40)
-		got := mergeNeighbors(nil, heads, m, times)
-		want := min(m, len(oracle))
-		if len(got) != want {
-			t.Fatalf("round %d: %d neighbours, want %d", round, len(got), want)
+		if m < len(oracle) {
+			mBelowUnion++
+		} else {
+			mAboveUnion++
 		}
-		for i, nb := range got {
-			if i > 0 && nb.ID >= got[i-1].ID {
-				t.Fatalf("round %d: ids not strictly descending at %d: %d after %d", round, i, nb.ID, got[i-1].ID)
-			}
-			a := oracle[nb.ID]
-			if a == nil || nb.Score != a.score || nb.MaxPos != a.maxPos || nb.Time != times[nb.ID] {
-				t.Fatalf("round %d: neighbour %+v, oracle %+v", round, nb, a)
-			}
+
+		// The oracle: the m most recent sessions, best first by (score, id).
+		var want []*acc
+		for _, a := range oracle {
+			want = append(want, a)
 		}
-		// Everything left out is older than everything emitted.
-		if len(got) > 0 {
-			floor := got[len(got)-1].ID
-			for id := range oracle {
-				if id > floor {
-					found := false
-					for _, nb := range got {
-						found = found || nb.ID == id
+		slices.SortFunc(want, func(a, b *acc) int { return cmp.Compare(b.id, a.id) })
+		want = want[:min(m, len(want))]
+		slices.SortFunc(want, func(a, b *acc) int {
+			if a.score != b.score {
+				return cmp.Compare(b.score, a.score)
+			}
+			return cmp.Compare(b.id, a.id)
+		})
+
+		for _, k := range []int{1, 1 + rng.Intn(m), m} {
+			wantK := want[:min(k, len(want))]
+			if k < len(want) && want[k-1].score == want[k].score {
+				// Does the tie run cut by k hold more than one mask?
+				masks := map[uint32]bool{}
+				for _, a := range want {
+					if a.score == want[k].score {
+						masks[a.mask] = true
 					}
-					if !found {
-						t.Fatalf("round %d: session %d is more recent than the merge's last pick %d but missing", round, id, floor)
-					}
+				}
+				if len(masks) > 1 {
+					splitTies++
+				}
+			}
+			fresh := slices.Clone(heads) // the merge consumes its heads
+			sel := newNeighborSelector(maxHeads, m, k)
+			got := sel.selectNeighbors(fresh, m, k, times)
+			if len(got) != len(wantK) {
+				t.Fatalf("round %d (m=%d k=%d): %d neighbours, want %d", round, m, k, len(got), len(wantK))
+			}
+			for i, nb := range got {
+				w := wantK[i]
+				if nb.ID != w.id || nb.Score != w.score || nb.MaxPos != w.maxPos || nb.Time != times[w.id] {
+					t.Fatalf("round %d (m=%d k=%d): rank %d is %+v, oracle %+v", round, m, k, i, nb, *w)
+				}
+			}
+			for mask, c := range sel.counts {
+				if c != 0 {
+					t.Fatalf("round %d: mask table entry %b left at %d", round, mask, c)
 				}
 			}
 		}
+	}
+	if mBelowUnion < 100 || mAboveUnion < 100 || splitTies < 100 {
+		t.Fatalf("weak coverage: m below union %d, above %d, k inside a multi-mask tie run %d rounds",
+			mBelowUnion, mAboveUnion, splitTies)
 	}
 }
 
@@ -122,5 +161,24 @@ func TestRecommenderMemoryIndependentOfSessions(t *testing.T) {
 	}
 	if fa != fb {
 		t.Errorf("footprint varies with session count: %d (100 sessions) vs %d (4000 sessions)", fa, fb)
+	}
+}
+
+// TestRecommenderMemoryFootprintScaling pins what the footprint counts: the
+// candidate buffer grows it by at least 8 bytes per unit of M, and the mask
+// table by at least 4·2^MaxSessionLength bytes.
+func TestRecommenderMemoryFootprintScaling(t *testing.T) {
+	idx := mustIndex(t, randomDataset(rand.New(rand.NewSource(11)), 300, 50), 0)
+	footprint := func(p Params) int64 { return mustRecommender(t, idx, p).MemoryFootprint() }
+	base := footprint(Params{M: 50, K: 20})
+	if grown := footprint(Params{M: 500, K: 20}); grown-base < 8*450 {
+		t.Errorf("M 50 → 500 grew the footprint by %d bytes, want at least %d", grown-base, 8*450)
+	}
+	for _, l := range []int{10, 16} {
+		grown := footprint(Params{M: 50, K: 20, MaxSessionLength: l})
+		if want := int64(4 * (1<<l - 1<<DefaultMaxSessionLength)); grown-base < want {
+			t.Errorf("MaxSessionLength %d → %d grew the footprint by %d bytes, want at least %d",
+				DefaultMaxSessionLength, l, grown-base, want)
+		}
 	}
 }

@@ -57,7 +57,8 @@ type Params struct {
 	K int
 	// MaxSessionLength caps how many of the most recent evolving-session
 	// items participate in the similarity computation (the paper caps this
-	// so that query latency is bounded). Zero means DefaultMaxSessionLength.
+	// so that query latency is bounded). Zero means DefaultMaxSessionLength;
+	// at most 16, the width of the kernel's head masks.
 	MaxSessionLength int
 	// Decay is the position decay π; nil means LinearDecay.
 	Decay DecayFunc
@@ -111,6 +112,9 @@ func (p Params) Validate() error {
 	}
 	if p.K > p.M {
 		return errKExceedsM(p.K, p.M)
+	}
+	if p.MaxSessionLength > maxHeads {
+		return ErrMaxSessionLength
 	}
 	if p.HeapArity < 0 || p.HeapArity == 1 {
 		return errBadParam("HeapArity", p.HeapArity)

@@ -314,6 +314,42 @@ func tiedDataset(rng *rand.Rand, n, vocab int) *sessions.Dataset {
 // capped posting lists per query). Kernel and reference, with early
 // stopping on and off, must return identical neighbours and top-n.
 func TestKernelMatchesReferenceOnSynthData(t *testing.T) {
+	idx, queries := synthDifferential(t)
+	kernel := mustRecommender(t, idx, Params{M: 500, K: 100})
+	for _, noEarlyStop := range []bool{false, true} {
+		ref, err := NewReferenceRecommender(idx, Params{M: 500, K: 100, DisableEarlyStopping: noEarlyStop})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSameOnQueries(t, kernel, ref, queries)
+	}
+}
+
+// TestKernelMatchesReferenceCoincidingScores is the synth differential
+// with a decay whose π takes three values, all multiples of 0.25: most
+// candidates tie on score even across different sets of tail items, so
+// the counting top K's runs of equal scores span many head masks, and the
+// K boundary usually falls inside one. K covers 1, 100 and M.
+func TestKernelMatchesReferenceCoincidingScores(t *testing.T) {
+	idx, queries := synthDifferential(t)
+	decay := func(pos, _ int) float64 { return float64(pos%3+1) * 0.25 }
+	for _, k := range []int{1, 100, 500} {
+		p := Params{M: 500, K: k, Decay: decay}
+		ref, err := NewReferenceRecommender(idx, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSameOnQueries(t, mustRecommender(t, idx, p), ref, queries)
+	}
+}
+
+// synthDifferential builds the synth index and queries of the bitwise
+// differentials on click-log-shaped data: a profile dense enough that many
+// sessions share a one-second timestamp, every prefix of 400 held-out
+// sessions, and 100 long tails over the most frequent items (nine capped
+// posting lists per query).
+func synthDifferential(t *testing.T) (*Index, [][]sessions.ItemID) {
+	t.Helper()
 	cfg := synth.Small(401)
 	cfg.NumSessions, cfg.NumItems, cfg.Days = 12_000, 2_000, 4
 	full, err := synth.Generate(cfg)
@@ -329,21 +365,19 @@ func TestKernelMatchesReferenceOnSynthData(t *testing.T) {
 			queries = append(queries, s.Items[:end])
 		}
 	}
-	queries = append(queries, hotTails(idx, 100, 402)...)
+	return idx, append(queries, hotTails(idx, 100, 402)...)
+}
 
-	kernel := mustRecommender(t, idx, Params{M: 500, K: 100})
-	for _, noEarlyStop := range []bool{false, true} {
-		ref, err := NewReferenceRecommender(idx, Params{M: 500, K: 100, DisableEarlyStopping: noEarlyStop})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, q := range queries {
-			assertSameNeighbors(t, q,
-				append([]Neighbor(nil), kernel.NeighborSessions(q)...),
-				ref.NeighborSessions(q))
-			assertSameRecommendations(t, q,
-				append([]ScoredItem(nil), kernel.Recommend(q, 21)...),
-				ref.Recommend(q, 21))
-		}
+// checkSameOnQueries asserts kernel and reference return identical
+// neighbours and top-21 on every query.
+func checkSameOnQueries(t *testing.T, kernel *Recommender, ref *ReferenceRecommender, queries [][]sessions.ItemID) {
+	t.Helper()
+	for _, q := range queries {
+		assertSameNeighbors(t, q,
+			append([]Neighbor(nil), kernel.NeighborSessions(q)...),
+			ref.NeighborSessions(q))
+		assertSameRecommendations(t, q,
+			append([]ScoredItem(nil), kernel.Recommend(q, 21)...),
+			ref.Recommend(q, 21))
 	}
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"slices"
+	"unsafe"
 
 	"serenade/internal/sessions"
 )
@@ -17,16 +17,20 @@ type Neighbor struct {
 	// evolving session) of the most recent item shared with this neighbour,
 	// the argument of the match weight λ.
 	MaxPos int
-	// Time is the neighbour session's timestamp, used for tie-breaking.
+	// Time is the neighbour session's timestamp. Neighbours tie-break on
+	// (time, id), which is id order because the index's times never
+	// decrease in id; the kernel reads it only for the sessions it returns.
 	Time int64
 }
 
 // Recommender executes VMIS-kNN queries against an Index using the dense
 // scoring kernel (see kernel.go): candidate selection is a k-way merge over
-// the tail items' posting lists, item scoring runs in a flat array over the
-// dense item-id space, and every per-query temporary is reused, so a
-// steady-state query performs zero heap allocations. Per-Recommender memory
-// is O(M + numItems) — independent of the number of indexed sessions.
+// the tail items' posting lists followed by one counting pass for the top K,
+// item scoring runs in a flat array over the dense item-id space, the top n
+// is kept by bounded insertion, and every per-query temporary is reused, so
+// a steady-state query performs zero heap allocations and no sort.
+// Per-Recommender memory is O(M + 2^MaxSessionLength + numItems) —
+// independent of the number of indexed sessions.
 //
 // A Recommender reuses internal buffers across calls and is therefore NOT
 // safe for concurrent use; create one per goroutine with Clone (the index
@@ -37,14 +41,15 @@ type Recommender struct {
 	p   Params
 
 	heads  []postingHead // one per distinct tail item, most recent first
-	nbrBuf []Neighbor    // the merge's ≤ M candidates, then the top K
+	sel    *neighborSelector
 	acc    *itemAccumulator
-	outBuf []ScoredItem
+	outBuf []ScoredItem // the top n, best first
 }
 
 // NewRecommender validates the parameters and returns a query executor. Its
 // kernel buffers are sized from the index (flat score array over the item-id
-// space) and the parameters (M candidates), so construct it — or Clone a
+// space) and the parameters (M candidates, a mask table of
+// 2^MaxSessionLength counters, K neighbours), so construct it — or Clone a
 // prototype — per index generation.
 func NewRecommender(idx *Index, p Params) (*Recommender, error) {
 	if err := p.Validate(); err != nil {
@@ -55,11 +60,11 @@ func NewRecommender(idx *Index, p Params) (*Recommender, error) {
 	}
 	p = p.withDefaults()
 	return &Recommender{
-		idx:    idx,
-		p:      p,
-		heads:  make([]postingHead, 0, p.MaxSessionLength),
-		nbrBuf: make([]Neighbor, 0, p.M),
-		acc:    newItemAccumulator(idx.numItems),
+		idx:   idx,
+		p:     p,
+		heads: make([]postingHead, 0, p.MaxSessionLength),
+		sel:   newNeighborSelector(p.MaxSessionLength, p.M, p.K),
+		acc:   newItemAccumulator(idx.numItems),
 	}, nil
 }
 
@@ -84,15 +89,16 @@ func (r *Recommender) Index() *Index { return r.idx }
 
 // MemoryFootprint estimates the recommender's per-goroutine kernel buffer
 // size in bytes — the Index.MemoryFootprint counterpart for query state. It
-// is O(M + numItems) by construction: the candidate buffer scales with M,
-// the flat score array with the item vocabulary, and nothing scales with the
-// number of indexed sessions.
+// is O(M + 2^MaxSessionLength + numItems) by construction: the candidate
+// buffer scales with M, the mask table with the session cap, the neighbour
+// output with K, the flat score array with the item vocabulary, and nothing
+// with the number of indexed sessions.
 func (r *Recommender) MemoryFootprint() int64 {
 	var b int64
 	b += r.acc.footprint()
-	b += int64(cap(r.heads)) * postingHeadBytes
-	b += int64(cap(r.nbrBuf)) * 32 // neighbour collect/result buffer (≤ M)
-	b += int64(cap(r.outBuf)) * 16 // output collect/result buffer: ScoredItem
+	b += int64(cap(r.heads)) * int64(unsafe.Sizeof(postingHead{}))
+	b += r.sel.footprint()
+	b += int64(cap(r.outBuf)) * int64(unsafe.Sizeof(ScoredItem{}))
 	return b
 }
 
@@ -112,11 +118,13 @@ func (r *Recommender) truncate(evolving []sessions.ItemID) []sessions.ItemID {
 //
 // The candidate set is what Algorithm 2's recency walk keeps — the M most
 // recent distinct sessions sharing an item with the truncated session — but
-// it is found by merging the posting lists (mergeNeighbors), so the query
-// needs no candidate table, no recency heap and no eviction; Params'
-// HeapArity and DisableEarlyStopping, which configure that walk, do not
-// apply. Quickselect then keeps the k best and a sort orders them, under
-// the (score, time, id) order the reference's bounded heap realises.
+// it is found by merging the posting lists, so the query needs no candidate
+// table, no recency heap and no eviction; Params' HeapArity and
+// DisableEarlyStopping, which configure that walk, do not apply. The merge
+// tags each candidate with the set of lists holding it, which fixes its
+// score; one counting pass over those few distinct scores then places the
+// k best, in the (score, time, id) order the reference's bounded heap
+// realises, without a sort (neighborSelector.selectNeighbors).
 func (r *Recommender) NeighborSessions(evolving []sessions.ItemID) []Neighbor {
 	s := r.truncate(evolving)
 	length := len(s)
@@ -142,22 +150,7 @@ items:
 	}
 	r.heads = heads
 
-	ns := mergeNeighbors(r.nbrBuf[:0], heads, r.p.M, r.idx.times)
-	r.nbrBuf = ns // retain grown storage for the next query
-	if len(ns) > r.p.K {
-		selectTopNeighbors(ns, r.p.K)
-		ns = ns[:r.p.K]
-	}
-	slices.SortFunc(ns, func(a, b Neighbor) int {
-		if neighborBetter(a, b) {
-			return -1
-		}
-		if neighborBetter(b, a) {
-			return 1
-		}
-		return 0
-	})
-	return ns
+	return r.sel.selectNeighbors(heads, r.p.M, r.p.K, r.idx.times)
 }
 
 // Recommend computes the top-n next-item recommendations for the evolving
@@ -175,8 +168,11 @@ func (r *Recommender) Recommend(evolving []sessions.ItemID, n int) []ScoredItem 
 // already-selected neighbour set. It is split out so the serving layer can
 // attribute index lookup (NeighborSessions) and item scoring separately in
 // per-request traces; Recommend is exactly NeighborSessions followed by
-// ScoreNeighbors. The same validity rules apply: the result aliases reused
-// buffers and holds until the next call on this Recommender.
+// ScoreNeighbors. It accumulates item scores in the flat array and keeps the
+// n best by bounded insertion, ordered by descending score and then
+// ascending item id, without a sort. The same validity rules apply: the
+// result aliases reused buffers and holds until the next call on this
+// Recommender.
 func (r *Recommender) ScoreNeighbors(neighbors []Neighbor, n int) []ScoredItem {
 	if n <= 0 || len(neighbors) == 0 {
 		return nil
@@ -199,34 +195,36 @@ func (r *Recommender) ScoreNeighbors(neighbors []Neighbor, n int) []ScoredItem {
 		}
 	}
 
-	// Output stage: collect the touched positive scores into the reused
-	// buffer, quickselect the n best, and sort them. The buffer is shared
-	// across calls regardless of n, so callers alternating output lengths
-	// (e.g. A/B arms sharing a pool) never reallocate output state.
+	// Output stage: keep the n best touched positive scores in the reused
+	// buffer by bounded insertion — reject against the current n-th, shift
+	// the rest into place. The buffer is shared across calls regardless of
+	// n, so callers alternating output lengths (e.g. A/B arms sharing a
+	// pool) never reallocate output state.
 	out := r.outBuf[:0]
 	for _, item := range r.acc.touched {
-		if score := r.acc.scores[item]; score > 0 {
-			out = append(out, ScoredItem{Item: item, Score: score})
+		score := r.acc.scores[item]
+		if !(score > 0) {
+			continue
 		}
+		it := ScoredItem{Item: item, Score: score}
+		if len(out) == n {
+			if !scoredItemBetter(it, out[n-1]) {
+				continue
+			}
+			out = out[:n-1]
+		}
+		i := len(out)
+		out = append(out, it)
+		for ; i > 0 && scoredItemBetter(it, out[i-1]); i-- {
+			out[i] = out[i-1]
+		}
+		out[i] = it
 	}
 	r.acc.resetSparse()
 	r.outBuf = out // retain grown storage for the next query
 	if len(out) == 0 {
 		return nil
 	}
-	if len(out) > n {
-		selectTopScoredItems(out, n)
-		out = out[:n]
-	}
-	slices.SortFunc(out, func(a, b ScoredItem) int {
-		if scoredItemBetter(a, b) {
-			return -1
-		}
-		if scoredItemBetter(b, a) {
-			return 1
-		}
-		return 0
-	})
 	return out
 }
 
