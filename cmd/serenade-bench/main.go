@@ -4,6 +4,7 @@
 //	serenade-bench -experiment micro             # Figure 3(a) bottom
 //	serenade-bench -experiment kv                # §4.2 session store
 //	serenade-bench -experiment extensions        # §7 future-work ablations
+//	serenade-bench -experiment complexity        # §3 time-complexity sweeps
 //
 // Add -quick for shrunk datasets.
 package main
@@ -21,7 +22,7 @@ func main() {
 	log.SetPrefix("serenade-bench: ")
 
 	var (
-		experiment = flag.String("experiment", "micro", "experiment: implementations | micro | kv")
+		experiment = flag.String("experiment", "micro", "experiment: implementations | micro | kv | extensions | complexity")
 		quick      = flag.Bool("quick", false, "shrink datasets")
 		seed       = flag.Int64("seed", 0, "random seed override")
 	)

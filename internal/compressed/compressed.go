@@ -1,22 +1,25 @@
-// Package compressed implements VMIS-kNN over a compressed in-memory index,
+// Package compressed is storage for a compressed in-memory VMIS-kNN index,
 // the first future-work direction named in the paper's conclusion ("whether
 // we can run our similarity computations on a compressed version of the
-// index").
+// index"). It has no query code: *Index is a core.Source, and
+// core.ReferenceRecommender runs Algorithm 2's walk over it in place.
 //
 // Posting lists are descending in session id, so they are stored as a head
 // value plus positive deltas in varint encoding, and per-session item lists
 // are varint-encoded; both live in two shared byte arenas with per-entry
 // offsets. Timestamps keep their dense array because the algorithm needs
-// random access by session id. The similarity computation decodes posting
-// lists lazily through a cursor, so early stopping also skips *decoding*
-// the cold tail of each list — compression and the algorithm's access
-// pattern compose.
+// random access by session id. RecentSessions decodes a posting list lazily
+// through a cursor, so the walk's early stop also skips *decoding* the cold
+// tail of each list — compression and the algorithm's access pattern
+// compose.
 package compressed
 
 import (
 	"encoding/binary"
 	"fmt"
+	"iter"
 	"math"
+	"slices"
 
 	"serenade/internal/core"
 	"serenade/internal/sessions"
@@ -39,6 +42,8 @@ type Index struct {
 	df  []int32
 	idf []float64
 }
+
+var _ core.Source = (*Index)(nil)
 
 // FromIndex compresses an existing index. The original can be released
 // afterwards.
@@ -168,37 +173,43 @@ func (pc *postingCursor) next() (sessions.SessionID, bool) {
 	return sessions.SessionID(pc.cur), true
 }
 
-// sessionItemsInto decodes a session's distinct items into buf.
-func (c *Index) sessionItemsInto(s sessions.SessionID, buf []sessions.ItemID) []sessions.ItemID {
+// RecentSessions yields an item's posting list, most recent first, decoding
+// one posting per step: when the consumer stops ranging, decoding stops.
+func (c *Index) RecentSessions(item sessions.ItemID) iter.Seq[sessions.SessionID] {
+	return func(yield func(sessions.SessionID) bool) {
+		pc := c.postings(item)
+		for {
+			sid, ok := pc.next()
+			if !ok || !yield(sid) {
+				return
+			}
+		}
+	}
+}
+
+// AppendSessionItems decodes a session's distinct items, appending them to
+// dst, so a caller reusing dst decodes without allocating.
+func (c *Index) AppendSessionItems(dst []sessions.ItemID, s sessions.SessionID) []sessions.ItemID {
 	data := c.itemData[c.itemOff[s]:c.itemOff[s+1]]
 	count, n := binary.Uvarint(data)
 	data = data[n:]
-	buf = buf[:0]
 	for i := 0; i < int(count); i++ {
 		v, n := binary.Uvarint(data)
 		data = data[n:]
-		buf = append(buf, sessions.ItemID(v))
+		dst = append(dst, sessions.ItemID(v))
 	}
-	return buf
+	return dst
 }
 
 // SessionItems returns a session's distinct items (allocating; tests and
-// inspection — the recommender uses the pooled variant).
+// inspection — the walk uses AppendSessionItems).
 func (c *Index) SessionItems(s sessions.SessionID) []sessions.ItemID {
-	return c.sessionItemsInto(s, nil)
+	return c.AppendSessionItems(nil, s)
 }
 
 // Postings materialises an item's posting list (allocating; for tests).
 func (c *Index) Postings(item sessions.ItemID) []sessions.SessionID {
-	var out []sessions.SessionID
-	pc := c.postings(item)
-	for {
-		sid, ok := pc.next()
-		if !ok {
-			return out
-		}
-		out = append(out, sid)
-	}
+	return slices.Collect(c.RecentSessions(item))
 }
 
 // CompressionRatio reports source footprint divided by compressed

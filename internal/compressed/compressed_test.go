@@ -79,33 +79,37 @@ func TestCompressionShrinksFootprint(t *testing.T) {
 	}
 }
 
-// TestRecommenderMatchesCore is the headline property: the compressed
-// executor returns exactly the same neighbours and recommendations as the
-// uncompressed one, across parameter settings and random queries.
+// TestRecommenderMatchesCore is the headline property: the walk over the
+// compressed index returns exactly the same recommendations as the kernel
+// over the uncompressed one, across parameter settings, walk
+// configurations and random queries.
 func TestRecommenderMatchesCore(t *testing.T) {
 	src := sourceIndex(t, 3, 0)
 	c := FromIndex(src)
-	for _, p := range []core.Params{
-		{M: 10, K: 5},
-		{M: 100, K: 50},
-		{M: 500, K: 100, DisableEarlyStopping: true, HeapArity: 2},
+	for _, tc := range []struct {
+		p core.Params
+		w core.Walk
+	}{
+		{core.Params{M: 10, K: 5}, core.Walk{}},
+		{core.Params{M: 100, K: 50}, core.Walk{}},
+		{core.Params{M: 500, K: 100}, core.Walk{HeapArity: 2, DisableEarlyStopping: true}},
 	} {
-		ref, err := core.NewRecommender(src, p)
+		ref, err := core.NewRecommender(src, tc.p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		comp, err := NewRecommender(c, p)
+		comp, err := core.NewReferenceRecommender(c, tc.p, tc.w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		run(t, ref, comp, int64(p.M))
+		run(t, ref, comp, int64(tc.p.M))
 	}
 }
 
 // TestRecommenderMatchesCoreTiedTimes runs the same differential on a synth
 // profile dense enough that many sessions share a one-second timestamp, with
-// M small enough that the walk evicts among them: the compressed walk and
-// core's merge must agree bitwise on neighbours and recommendations, with
+// M small enough that the walk evicts among them: the walk over the
+// compressed index and core's merge must agree bitwise on neighbours and recommendations, with
 // early stopping on and off.
 func TestRecommenderMatchesCoreTiedTimes(t *testing.T) {
 	cfg := synth.Small(11)
@@ -120,12 +124,12 @@ func TestRecommenderMatchesCoreTiedTimes(t *testing.T) {
 	}
 	c := FromIndex(src)
 	for _, noEarlyStop := range []bool{false, true} {
-		p := core.Params{M: 50, K: 20, DisableEarlyStopping: noEarlyStop}
+		p := core.Params{M: 50, K: 20}
 		ref, err := core.NewRecommender(src, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		comp, err := NewRecommender(c, p)
+		comp, err := core.NewReferenceRecommender(c, p, core.Walk{DisableEarlyStopping: noEarlyStop})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +148,7 @@ func TestRecommenderMatchesCoreTiedTimes(t *testing.T) {
 	}
 }
 
-func run(t *testing.T, ref *core.Recommender, comp *Recommender, seed int64) {
+func run(t *testing.T, ref *core.Recommender, comp *core.ReferenceRecommender, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	for trial := 0; trial < 200; trial++ {
@@ -163,17 +167,17 @@ func run(t *testing.T, ref *core.Recommender, comp *Recommender, seed int64) {
 
 func TestRecommenderValidation(t *testing.T) {
 	c := FromIndex(sourceIndex(t, 4, 20))
-	if _, err := NewRecommender(c, core.Params{M: 100, K: 10}); err == nil {
+	if _, err := core.NewReferenceRecommender(c, core.Params{M: 100, K: 10}); err == nil {
 		t.Error("M beyond capacity accepted")
 	}
-	if _, err := NewRecommender(c, core.Params{M: 0, K: 0}); err == nil {
+	if _, err := core.NewReferenceRecommender(c, core.Params{M: 0, K: 0}); err == nil {
 		t.Error("invalid params accepted")
 	}
 }
 
 func TestCloneShareIndex(t *testing.T) {
 	c := FromIndex(sourceIndex(t, 5, 0))
-	r, err := NewRecommender(c, core.Params{M: 50, K: 20})
+	r, err := core.NewReferenceRecommender(c, core.Params{M: 50, K: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +190,7 @@ func TestCloneShareIndex(t *testing.T) {
 
 func TestRecommendEdgeCases(t *testing.T) {
 	c := FromIndex(sourceIndex(t, 6, 0))
-	r, _ := NewRecommender(c, core.Params{M: 50, K: 20})
+	r, _ := core.NewReferenceRecommender(c, core.Params{M: 50, K: 20})
 	if r.Recommend(nil, 5) != nil {
 		t.Error("empty session must return nil")
 	}
@@ -199,16 +203,22 @@ func TestRecommendEdgeCases(t *testing.T) {
 }
 
 // BenchmarkAblationCompressedVsRaw compares query latency over the two
-// index representations (the compression trade-off study).
+// index representations (the compression trade-off study): "raw" and
+// "compressed" run the same walk, so they differ only in storage; "kernel"
+// is the production kernel over the raw index.
 func BenchmarkAblationCompressedVsRaw(b *testing.B) {
 	src := sourceIndex(b, 7, 0)
 	c := FromIndex(src)
 	p := core.Params{M: 500, K: 100}
-	rawRec, err := core.NewRecommender(src, p)
+	kernel, err := core.NewRecommender(src, p)
 	if err != nil {
 		b.Fatal(err)
 	}
-	compRec, err := NewRecommender(c, p)
+	rawRec, err := core.NewReferenceRecommender(src, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	compRec, err := core.NewReferenceRecommender(c, p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -221,6 +231,13 @@ func BenchmarkAblationCompressedVsRaw(b *testing.B) {
 		}
 		queries[i] = q
 	}
+	b.Run("kernel", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			kernel.Recommend(queries[i%len(queries)], 21)
+		}
+		b.ReportMetric(float64(src.MemoryFootprint()), "index-bytes")
+	})
 	b.Run("raw", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

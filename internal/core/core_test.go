@@ -85,7 +85,6 @@ func TestParamsValidate(t *testing.T) {
 		{M: 0, K: 1},
 		{M: 10, K: 0},
 		{M: 10, K: 11}, // k > m
-		{M: 10, K: 5, HeapArity: 1},
 		{M: 10, K: 5, MaxSessionLength: maxHeads + 1},
 	} {
 		if err := p.Validate(); err == nil {
@@ -98,6 +97,26 @@ func TestParamsValidate(t *testing.T) {
 	}
 	if err := (Params{M: 10, K: 5, MaxSessionLength: maxHeads + 1}).Validate(); !errors.Is(err, ErrMaxSessionLength) {
 		t.Errorf("MaxSessionLength %d: Validate = %v, want ErrMaxSessionLength", maxHeads+1, err)
+	}
+}
+
+// TestReferenceWalkValidate: the walk's heap arity is checked where the
+// walk is built, and the oracle takes at most one Walk.
+func TestReferenceWalkValidate(t *testing.T) {
+	idx := mustIndex(t, buildDataset(t, [][]sessions.ItemID{{1, 2}, {2, 3}}), 0)
+	p := Params{M: 10, K: 5}
+	for _, w := range []Walk{{}, {HeapArity: 2}, {HeapArity: 8, DisableEarlyStopping: true}} {
+		if _, err := NewReferenceRecommender(idx, p, w); err != nil {
+			t.Errorf("walk %+v rejected: %v", w, err)
+		}
+	}
+	for _, w := range []Walk{{HeapArity: 1}, {HeapArity: -1}} {
+		if _, err := NewReferenceRecommender(idx, p, w); err == nil {
+			t.Errorf("walk %+v accepted, want error", w)
+		}
+	}
+	if _, err := NewReferenceRecommender(idx, p, Walk{}, Walk{}); err == nil {
+		t.Error("two walks accepted, want error")
 	}
 }
 
@@ -293,7 +312,7 @@ func TestNoOptVariantSameResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := mustRecommender(t, idx, Params{M: 20, K: 10})
-	noopt, err := NewReferenceRecommender(idx, Params{M: 20, K: 10, HeapArity: 2, DisableEarlyStopping: true})
+	noopt, err := NewReferenceRecommender(idx, Params{M: 20, K: 10}, Walk{HeapArity: 2, DisableEarlyStopping: true})
 	if err != nil {
 		t.Fatal(err)
 	}

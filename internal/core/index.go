@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"iter"
 	"math"
+	"slices"
 	"sync"
 
 	"serenade/internal/sessions"
@@ -412,6 +414,12 @@ func (idx *Index) Postings(item sessions.ItemID) []sessions.SessionID {
 	return idx.postingData[lo:hi:hi]
 }
 
+// RecentSessions yields an item's posting list, most recent first: the
+// Source form of Postings.
+func (idx *Index) RecentSessions(item sessions.ItemID) iter.Seq[sessions.SessionID] {
+	return slices.Values(idx.Postings(item))
+}
+
 // Time returns the timestamp t_h of a historical session.
 func (idx *Index) Time(s sessions.SessionID) int64 { return idx.times[s] }
 
@@ -427,6 +435,12 @@ func (idx *Index) SessionItems(s sessions.SessionID) []sessions.ItemID {
 		return nil
 	}
 	return idx.sessionItemData[lo:hi:hi]
+}
+
+// AppendSessionItems appends a session's distinct items to dst: the Source
+// form of SessionItems.
+func (idx *Index) AppendSessionItems(dst []sessions.ItemID, s sessions.SessionID) []sessions.ItemID {
+	return append(dst, idx.SessionItems(s)...)
 }
 
 // DF returns the document frequency h_i: the number of historical sessions

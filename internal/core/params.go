@@ -48,7 +48,9 @@ func LinearMatchWeight(pos int) float64 {
 // ConstantMatchWeight ignores the match position.
 func ConstantMatchWeight(int) float64 { return 1 }
 
-// Params are the VMIS-kNN hyperparameters.
+// Params are the VMIS-kNN hyperparameters: they fix the result. How
+// Algorithm 2's walk reaches that result (heap arity, early stopping) is a
+// Walk, which only ReferenceRecommender takes; the kernel has no walk.
 type Params struct {
 	// M is the recency sample size: how many of the most recent historical
 	// sessions sharing an item with the evolving session are considered.
@@ -65,19 +67,6 @@ type Params struct {
 	// MatchWeight is the neighbour match weight λ; nil means
 	// LinearMatchWeight.
 	MatchWeight MatchWeightFunc
-	// HeapArity is the branching factor of the recency and top-k heaps of
-	// Algorithm 2's walk. The paper uses octonary heaps (8) as a
-	// micro-optimisation; the VMIS-kNN-no-opt baseline uses binary heaps
-	// (2). Zero means 8. It configures the walking executors only
-	// (ReferenceRecommender and those of internal/compressed and
-	// internal/incremental): Recommender selects candidates by merging
-	// posting lists and has no heap.
-	HeapArity int
-	// DisableEarlyStopping turns off the walk's posting-list early-stop
-	// optimisation; used only by the VMIS-kNN-no-opt baseline of §5.1.3.
-	// Like HeapArity it configures the walking executors only; the result
-	// is the same either way.
-	DisableEarlyStopping bool
 }
 
 // DefaultMaxSessionLength bounds the number of evolving-session items
@@ -96,9 +85,6 @@ func (p Params) withDefaults() Params {
 	if p.MatchWeight == nil {
 		p.MatchWeight = LinearMatchWeight
 	}
-	if p.HeapArity == 0 {
-		p.HeapArity = 8
-	}
 	return p
 }
 
@@ -115,9 +101,6 @@ func (p Params) Validate() error {
 	}
 	if p.MaxSessionLength > maxHeads {
 		return ErrMaxSessionLength
-	}
-	if p.HeapArity < 0 || p.HeapArity == 1 {
-		return errBadParam("HeapArity", p.HeapArity)
 	}
 	return nil
 }

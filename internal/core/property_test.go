@@ -187,12 +187,12 @@ func checkKernelMatchesReference(t *testing.T, gen func(*rand.Rand, int, int) *s
 		m := int(mSeed)%25 + 1
 		k := int(kSeed)%m + 1
 		n := int(nSeed)%30 + 1
-		p := Params{M: m, K: k, DisableEarlyStopping: noEarlyStop}
+		p := Params{M: m, K: k}
 		dense, err := NewRecommender(idx, p)
 		if err != nil {
 			return false
 		}
-		ref, err := NewReferenceRecommender(idx, p)
+		ref, err := NewReferenceRecommender(idx, p, Walk{DisableEarlyStopping: noEarlyStop})
 		if err != nil {
 			return false
 		}
@@ -236,9 +236,9 @@ func TestDenseKernelEvictionChurn(t *testing.T) {
 	}
 	idx := mustIndex(t, buildDataset(t, lists), 0)
 	for _, noEarlyStop := range []bool{false, true} {
-		p := Params{M: 3, K: 3, DisableEarlyStopping: noEarlyStop}
+		p := Params{M: 3, K: 3}
 		dense := mustRecommender(t, idx, p)
-		ref, err := NewReferenceRecommender(idx, p)
+		ref, err := NewReferenceRecommender(idx, p, Walk{DisableEarlyStopping: noEarlyStop})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +317,7 @@ func TestKernelMatchesReferenceOnSynthData(t *testing.T) {
 	idx, queries := synthDifferential(t)
 	kernel := mustRecommender(t, idx, Params{M: 500, K: 100})
 	for _, noEarlyStop := range []bool{false, true} {
-		ref, err := NewReferenceRecommender(idx, Params{M: 500, K: 100, DisableEarlyStopping: noEarlyStop})
+		ref, err := NewReferenceRecommender(idx, Params{M: 500, K: 100}, Walk{DisableEarlyStopping: noEarlyStop})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -119,12 +119,11 @@ func (r *Recommender) truncate(evolving []sessions.ItemID) []sessions.ItemID {
 // The candidate set is what Algorithm 2's recency walk keeps — the M most
 // recent distinct sessions sharing an item with the truncated session — but
 // it is found by merging the posting lists, so the query needs no candidate
-// table, no recency heap and no eviction; Params' HeapArity and
-// DisableEarlyStopping, which configure that walk, do not apply. The merge
-// tags each candidate with the set of lists holding it, which fixes its
-// score; one counting pass over those few distinct scores then places the
-// k best, in the (score, time, id) order the reference's bounded heap
-// realises, without a sort (neighborSelector.selectNeighbors).
+// table, no recency heap and no eviction. The merge tags each candidate with
+// the set of lists holding it, which fixes its score; one counting pass over
+// those few distinct scores then places the k best, in the (score, time, id)
+// order the reference's bounded heap realises, without a sort
+// (neighborSelector.selectNeighbors).
 func (r *Recommender) NeighborSessions(evolving []sessions.ItemID) []Neighbor {
 	s := r.truncate(evolving)
 	length := len(s)
@@ -226,14 +225,4 @@ func (r *Recommender) ScoreNeighbors(neighbors []Neighbor, n int) []ScoredItem {
 		return nil
 	}
 	return out
-}
-
-// scoredItemLess orders output candidates weakest-first: lower score first;
-// equal scores order the larger item id first so that DrainDescending yields
-// ascending item ids within a tie.
-func scoredItemLess(a, b ScoredItem) bool {
-	if a.Score != b.Score {
-		return a.Score < b.Score
-	}
-	return a.Item > b.Item
 }

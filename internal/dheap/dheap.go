@@ -41,9 +41,6 @@ func NewWithCapacity[E any](d int, n int, less func(a, b E) bool) *Heap[E] {
 // Len reports the number of elements in the heap.
 func (h *Heap[E]) Len() int { return len(h.items) }
 
-// Arity reports the heap's branching factor d.
-func (h *Heap[E]) Arity() int { return h.d }
-
 // Push inserts x into the heap in O(log_d n) time.
 func (h *Heap[E]) Push(x E) {
 	h.items = append(h.items, x)
@@ -111,10 +108,6 @@ func (h *Heap[E]) Drain() []E {
 	}
 }
 
-// Items returns the underlying slice in heap layout (not sorted order).
-// The caller must not modify element order; it is exposed for iteration.
-func (h *Heap[E]) Items() []E { return h.items }
-
 func (h *Heap[E]) siftUp(i int) {
 	item := h.items[i]
 	for i > 0 {
@@ -174,12 +167,6 @@ func NewBounded[E any](d, cap int, less func(a, b E) bool) *Bounded[E] {
 	return &Bounded[E]{h: NewWithCapacity(d, cap, less), cap: cap}
 }
 
-// Len reports the number of retained elements.
-func (b *Bounded[E]) Len() int { return b.h.Len() }
-
-// Cap reports the retention capacity.
-func (b *Bounded[E]) Cap() int { return b.cap }
-
 // Offer considers x for retention. It reports whether x was kept (either
 // inserted into spare capacity or replacing the current root).
 func (b *Bounded[E]) Offer(x E) bool {
@@ -194,12 +181,6 @@ func (b *Bounded[E]) Offer(x E) bool {
 	}
 	return false
 }
-
-// Peek returns the root (the weakest retained element) without removing it.
-func (b *Bounded[E]) Peek() (E, bool) { return b.h.Peek() }
-
-// Pop removes and returns the root.
-func (b *Bounded[E]) Pop() (E, bool) { return b.h.Pop() }
 
 // Reset removes all elements but keeps allocated storage.
 func (b *Bounded[E]) Reset() { b.h.Reset() }
@@ -227,9 +208,6 @@ func growSlice[E any](s []E, n int) []E {
 	return make([]E, 0, n)
 }
 
-// Items returns the retained elements in heap layout (not sorted).
-func (b *Bounded[E]) Items() []E { return b.h.Items() }
-
 // DrainDescending removes and returns all retained elements ordered from
 // strongest to weakest (reverse heap order).
 func (b *Bounded[E]) DrainDescending() []E {
@@ -238,22 +216,4 @@ func (b *Bounded[E]) DrainDescending() []E {
 		out[i], out[j] = out[j], out[i]
 	}
 	return out
-}
-
-// AppendDescending drains the heap like DrainDescending but appends the
-// elements to dst instead of allocating a fresh slice, so steady-state
-// callers that reuse a buffer across queries perform no heap allocation.
-func (b *Bounded[E]) AppendDescending(dst []E) []E {
-	start := len(dst)
-	for {
-		e, ok := b.h.Pop()
-		if !ok {
-			break
-		}
-		dst = append(dst, e)
-	}
-	for i, j := start, len(dst)-1; i < j; i, j = i+1, j-1 {
-		dst[i], dst[j] = dst[j], dst[i]
-	}
-	return dst
 }

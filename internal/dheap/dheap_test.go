@@ -115,12 +115,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestArity(t *testing.T) {
-	if got := New(8, intLess).Arity(); got != 8 {
-		t.Fatalf("Arity() = %d, want 8", got)
-	}
-}
-
 // TestHeapPropertyQuick verifies via property testing that for any input
 // sequence and any arity in {2,3,4,8}, popping yields a sorted permutation
 // of the input.
@@ -162,7 +156,7 @@ func TestHeapInvariantAfterMixedOps(t *testing.T) {
 				h.Push(int(op))
 			}
 		}
-		items := h.Items()
+		items := h.items
 		for i := 1; i < len(items); i++ {
 			parent := (i - 1) / 8
 			if intLess(items[i], items[parent]) {
@@ -204,8 +198,8 @@ func TestBoundedOfferReturnValue(t *testing.T) {
 	if !b.Offer(10) {
 		t.Error("offer stronger than root must be kept when full")
 	}
-	if b.Len() != 2 {
-		t.Fatalf("Len() = %d, want 2", b.Len())
+	if b.h.Len() != 2 {
+		t.Fatalf("Len() = %d, want 2", b.h.Len())
 	}
 }
 
@@ -222,11 +216,11 @@ func TestBoundedReset(t *testing.T) {
 	b := NewBounded(2, 4, intLess)
 	b.Offer(1)
 	b.Reset()
-	if b.Len() != 0 {
-		t.Fatalf("Len() = %d after Reset, want 0", b.Len())
+	if b.h.Len() != 0 {
+		t.Fatalf("Len() = %d after Reset, want 0", b.h.Len())
 	}
-	if b.Cap() != 4 {
-		t.Fatalf("Cap() = %d after Reset, want 4", b.Cap())
+	if b.cap != 4 {
+		t.Fatalf("Cap() = %d after Reset, want 4", b.cap)
 	}
 }
 
@@ -291,13 +285,13 @@ func TestBoundedResetWithCap(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		b.Offer(i)
 	}
-	if b.Len() != 3 || b.Cap() != 3 {
-		t.Fatalf("len/cap = %d/%d, want 3/3", b.Len(), b.Cap())
+	if b.h.Len() != 3 || b.cap != 3 {
+		t.Fatalf("len/cap = %d/%d, want 3/3", b.h.Len(), b.cap)
 	}
 	// Grow: previous contents dropped, new bound honoured.
 	b.ResetWithCap(5)
-	if b.Len() != 0 || b.Cap() != 5 {
-		t.Fatalf("after grow: len/cap = %d/%d, want 0/5", b.Len(), b.Cap())
+	if b.h.Len() != 0 || b.cap != 5 {
+		t.Fatalf("after grow: len/cap = %d/%d, want 0/5", b.h.Len(), b.cap)
 	}
 	for i := 0; i < 10; i++ {
 		b.Offer(i)
@@ -307,8 +301,8 @@ func TestBoundedResetWithCap(t *testing.T) {
 	}
 	// Shrink: storage reused, bound honoured.
 	b.ResetWithCap(2)
-	if b.Cap() != 2 {
-		t.Fatalf("after shrink: cap = %d, want 2", b.Cap())
+	if b.cap != 2 {
+		t.Fatalf("after shrink: cap = %d, want 2", b.cap)
 	}
 	for i := 0; i < 10; i++ {
 		b.Offer(i)
@@ -338,42 +332,4 @@ func TestBoundedResetWithCapPanicsOnZero(t *testing.T) {
 		}
 	}()
 	NewBounded(2, 1, func(a, b int) bool { return a < b }).ResetWithCap(0)
-}
-
-func TestBoundedAppendDescending(t *testing.T) {
-	b := NewBounded(3, 4, func(a, b int) bool { return a < b })
-	for _, v := range []int{5, 1, 9, 7, 3, 8} {
-		b.Offer(v)
-	}
-	buf := make([]int, 0, 8)
-	got := b.AppendDescending(buf)
-	want := []int{9, 8, 7, 5}
-	if len(got) != len(want) {
-		t.Fatalf("drained %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("drained %v, want %v", got, want)
-		}
-	}
-	if b.Len() != 0 {
-		t.Errorf("heap not empty after drain: %d", b.Len())
-	}
-	// Reusing the returned buffer must not allocate.
-	allocs := testing.AllocsPerRun(100, func() {
-		for _, v := range []int{5, 1, 9, 7, 3, 8} {
-			b.Offer(v)
-		}
-		got = b.AppendDescending(got[:0])
-	})
-	if allocs != 0 {
-		t.Errorf("AppendDescending with a reused buffer allocates %.1f times, want 0", allocs)
-	}
-	// Appending after existing elements preserves the prefix.
-	b.Offer(2)
-	b.Offer(6)
-	out := b.AppendDescending([]int{42})
-	if len(out) != 3 || out[0] != 42 || out[1] != 6 || out[2] != 2 {
-		t.Errorf("append after prefix = %v, want [42 6 2]", out)
-	}
 }

@@ -338,7 +338,7 @@ func TestExtensionsQuick(t *testing.T) {
 	if res.CompressedBytes >= res.RawBytes {
 		t.Errorf("compressed %d >= raw %d bytes", res.CompressedBytes, res.RawBytes)
 	}
-	if res.RawMedian <= 0 || res.CompMedian <= 0 || res.IncMedian <= 0 {
+	if res.RawMedian <= 0 || res.CompMedian <= 0 || res.IncBaseMedian <= 0 || res.IncMedian <= 0 || res.KernelMedian <= 0 {
 		t.Error("zero query timings")
 	}
 	if res.AppendsPerSec <= 0 || res.DeltaAtBenchmark == 0 {

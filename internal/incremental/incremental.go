@@ -1,14 +1,16 @@
 // Package incremental maintains the VMIS-kNN index online, the second
 // future-work direction in the paper's conclusion ("whether we can
 // incrementally maintain the index"), replacing the daily full rebuild with
-// appends of finished sessions.
+// appends of finished sessions. It is storage: queries are core's one
+// Algorithm 2 walk (core.ReferenceRecommender) over the index, which
+// Recommender runs under the index's read lock.
 //
 // The design is log-structured: an immutable base index (the last full
 // build) plus an in-memory delta holding every session appended since.
 // Because session recency is the only ordering the algorithm needs, and all
-// delta sessions are newer than all base sessions, a query can traverse
-// "delta newest-first, then base posting list" and observe exactly the
-// posting order of a fresh rebuild — the equivalence is property-tested.
+// delta sessions are newer than all base sessions, a posting list read as
+// "delta newest-first, then base posting list" is exactly the posting order
+// of a fresh rebuild — the equivalence is property-tested.
 // Eviction of sessions older than a horizon (the paper's 180-day window) is
 // recorded immediately but applied at the next Compact, which folds the
 // delta into a new base, like tombstones in an LSM tree.
@@ -16,6 +18,8 @@ package incremental
 
 import (
 	"fmt"
+	"iter"
+	"math"
 	"sync"
 
 	"serenade/internal/core"
@@ -164,27 +168,52 @@ func (x *Index) Compact() error {
 	return nil
 }
 
-// --- read-side helpers used by the Recommender (callers hold x.mu.RLock) ---
+// view is the Index as core's walk reads it: a core.Source over base plus
+// delta. Its methods take no lock; the caller holds the index's mu for
+// reading, as Recommender does around each walk.
+type view Index
 
-func (x *Index) timeOf(sid sessions.SessionID) int64 {
-	if n := x.base.NumSessions(); int(sid) >= n {
-		return x.deltaTimes[int(sid)-n]
+func (v *view) Capacity() int { return v.capacity }
+
+// RecentSessions yields the delta's postings newest first, then the base
+// list. Delta sessions are all newer than base sessions and the delta list
+// ascends in time, so this is the descending-recency order of a rebuild,
+// and a stop inside the delta never reads the base list.
+func (v *view) RecentSessions(item sessions.ItemID) iter.Seq[sessions.SessionID] {
+	return func(yield func(sessions.SessionID) bool) {
+		delta := v.deltaPost[item]
+		for i := len(delta) - 1; i >= 0; i-- {
+			if !yield(delta[i]) {
+				return
+			}
+		}
+		for _, j := range v.base.Postings(item) {
+			if !yield(j) {
+				return
+			}
+		}
 	}
-	return x.base.Time(sid)
 }
 
-func (x *Index) itemsOf(sid sessions.SessionID) []sessions.ItemID {
-	if n := x.base.NumSessions(); int(sid) >= n {
-		return x.deltaItems[int(sid)-n]
+func (v *view) Time(sid sessions.SessionID) int64 {
+	if n := v.base.NumSessions(); int(sid) >= n {
+		return v.deltaTimes[int(sid)-n]
 	}
-	return x.base.SessionItems(sid)
+	return v.base.Time(sid)
 }
 
-func (x *Index) idf(item sessions.ItemID) float64 {
-	df := x.base.DF(item) + x.deltaDF[item]
+func (v *view) AppendSessionItems(dst []sessions.ItemID, sid sessions.SessionID) []sessions.ItemID {
+	if n := v.base.NumSessions(); int(sid) >= n {
+		return append(dst, v.deltaItems[int(sid)-n]...)
+	}
+	return v.base.AppendSessionItems(dst, sid)
+}
+
+func (v *view) IDF(item sessions.ItemID) float64 {
+	df := v.base.DF(item) + v.deltaDF[item]
 	if df == 0 {
 		return 0
 	}
-	total := x.base.NumSessions() + len(x.deltaTimes)
-	return logf(float64(total) / float64(df))
+	total := v.base.NumSessions() + len(v.deltaTimes)
+	return math.Log(float64(total) / float64(df))
 }

@@ -78,22 +78,32 @@ func queries(rng *rand.Rand, vocab, n int) [][]sessions.ItemID {
 // TestAppendMatchesRebuild: after every batch of appends, the incremental
 // index answers exactly like a from-scratch rebuild over all sessions.
 func TestAppendMatchesRebuild(t *testing.T) {
-	checkAppendMatchesRebuild(t, newStream(1), core.Params{M: 25, K: 10})
+	checkAppendMatchesRebuild(t, newStream(1), core.Params{M: 25, K: 10}, core.Walk{})
 }
 
 // TestAppendMatchesRebuildTiedTimes is the same check on a coarse clock,
 // where runs of sessions share a timestamp and M is small enough that the
-// incremental walk evicts among them — with early stopping on and off, it
+// walk over base + delta evicts among them — with early stopping on and off, it
 // must keep exactly the sessions the rebuilt index's merge picks.
 func TestAppendMatchesRebuildTiedTimes(t *testing.T) {
 	for seed, noEarlyStop := range []bool{false, true} {
 		st := newStream(int64(11 + seed))
 		st.coarse = true
-		checkAppendMatchesRebuild(t, st, core.Params{M: 8, K: 5, DisableEarlyStopping: noEarlyStop})
+		checkAppendMatchesRebuild(t, st, core.Params{M: 8, K: 5}, core.Walk{DisableEarlyStopping: noEarlyStop})
 	}
 }
 
-func checkAppendMatchesRebuild(t *testing.T, st *sessionStream, p core.Params) {
+// walkRecommender is NewRecommender with a chosen walk configuration.
+func walkRecommender(t *testing.T, x *Index, p core.Params, w core.Walk) *Recommender {
+	t.Helper()
+	ref, err := core.NewReferenceRecommender((*view)(x), p, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Recommender{x: x, ref: ref}
+}
+
+func checkAppendMatchesRebuild(t *testing.T, st *sessionStream, p core.Params, w core.Walk) {
 	t.Helper()
 	const vocab = 40
 	for i := 0; i < 100; i++ {
@@ -103,10 +113,7 @@ func checkAppendMatchesRebuild(t *testing.T, st *sessionStream, p core.Params) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := NewRecommender(x, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inc := walkRecommender(t, x, p, w)
 	rng := rand.New(rand.NewSource(2))
 	for batch := 0; batch < 5; batch++ {
 		for i := 0; i < 30; i++ {

@@ -250,8 +250,9 @@ type (
 	// CompressedIndex is a varint-compressed in-memory index queried in
 	// place.
 	CompressedIndex = compressed.Index
-	// CompressedRecommender executes VMIS-kNN over a CompressedIndex.
-	CompressedRecommender = compressed.Recommender
+	// CompressedRecommender executes VMIS-kNN over a CompressedIndex: it is
+	// Algorithm 2's walk, the same one that runs over every index form.
+	CompressedRecommender = core.ReferenceRecommender
 	// IncrementalIndex is a log-structured index supporting online session
 	// appends, retention eviction and compaction.
 	IncrementalIndex = incremental.Index
@@ -265,7 +266,7 @@ func Compress(idx *Index) *CompressedIndex { return compressed.FromIndex(idx) }
 
 // NewCompressed creates a recommender over a compressed index.
 func NewCompressed(idx *CompressedIndex, p Params) (*CompressedRecommender, error) {
-	return compressed.NewRecommender(idx, p)
+	return core.NewReferenceRecommender(idx, p)
 }
 
 // NewIncrementalIndex builds an incrementally maintainable index from
