@@ -28,10 +28,12 @@ slo-race:
 	$(GO) test -race ./internal/obs/... ./internal/metrics ./internal/serving ./internal/cluster
 
 # The online quality loop under the race detector: exposure recording,
-# click attribution, windowed gauges, drift detection, and the click-model
-# harness that drives them.
+# click attribution, windowed gauges and drift detection (obs/quality), the
+# click model (loadgen) and the experiment that runs them against serving
+# replicas (experiments).
 quality-race:
-	$(GO) test -race ./internal/obs/... ./internal/serving ./internal/loadgen ./internal/cluster ./client
+	$(GO) test -race ./internal/obs/quality ./internal/loadgen
+	$(GO) test -race -run 'QualityRun|QualityBaseline|ExposurePipeline' ./internal/experiments
 
 # All microbenchmarks, quick.
 bench: slo-bench
@@ -75,7 +77,7 @@ quality-bench:
 	@echo wrote BENCH_quality.json
 
 # Full-stack HTTP edge benchmarks (recommend POST/GET, cache hit, idempotent
-# replay, track) with allocation counts, committed as the versioned
+# replay) with allocation counts, committed as the versioned
 # BENCH_http.json artifact — the zero-allocation edge's regression baseline.
 http-bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkHTTP' -benchmem \

@@ -121,24 +121,6 @@ func (c *Client) Recommend(ctx context.Context, sessionKey string, item sessions
 	return out, err
 }
 
-// Track reports click/conversion feedback on a recommendation the user was
-// shown, referencing the RecommendationID from the Recommend response so the
-// server can attribute the event to the exposure. event is "click" or
-// "conversion" (empty means click); sessionKey carries the affinity header
-// so a sticky proxy routes the event to the replica that served the
-// exposure. POSTing feedback is not idempotent-keyed: a duplicated click
-// is deduplicated server-side by the per-exposure attribution state.
-func (c *Client) Track(ctx context.Context, sessionKey string, recommendationID uint64, item sessions.ItemID, event string) (serving.TrackResponse, error) {
-	cb := bufPool.Get().(*clientBuf)
-	defer bufPool.Put(cb)
-	req := serving.TrackRequest{RecommendationID: recommendationID, Item: item, Event: event}
-	cb.enc = serving.EncodeTrackRequest(cb.enc[:0], &req)
-	var out serving.TrackResponse
-	err := c.do(ctx, http.MethodPost, "/track", sessionKey, "", cb, cb.enc,
-		func(data []byte) error { return serving.DecodeTrackResponse(&cb.dec, data, &out) })
-	return out, err
-}
-
 // Explain asks why item would be recommended to the session.
 func (c *Client) Explain(ctx context.Context, sessionKey string, item sessions.ItemID) (core.Explanation, error) {
 	var out core.Explanation

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"serenade/internal/core"
-	"serenade/internal/obs/quality"
 	"serenade/internal/serving"
 	"serenade/internal/synth"
 )
@@ -285,72 +284,5 @@ func TestStatusCodeHelper(t *testing.T) {
 	}
 	if StatusCode(context.Canceled) != 0 {
 		t.Error("non-API error should give status 0")
-	}
-}
-
-// TestTrackRoundTrip closes the feedback loop over the wire: Recommend
-// returns a recommendation id, Track attributes a click to it, and the
-// server's quality counters reflect the attribution.
-func TestTrackRoundTrip(t *testing.T) {
-	ds, err := synth.Generate(synth.Small(44))
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, err := core.BuildIndex(ds, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := serving.NewServer(idx, serving.Config{
-		Params:  core.Params{M: 100, K: 50},
-		Quality: &quality.Options{Variant: "a"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	c := newClient(t, ts.URL)
-
-	resp, err := c.Recommend(context.Background(), "u1", 0, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.RecommendationID == 0 || len(resp.Items) == 0 {
-		t.Fatalf("recommend response = %+v", resp)
-	}
-	out, err := c.Track(context.Background(), "u1", resp.RecommendationID, resp.Items[0].Item, "click")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Outcome != quality.OutcomeAttributed || out.Rank != 1 {
-		t.Fatalf("track = %+v", out)
-	}
-	// An empty event means click; a second click is a duplicate.
-	dup, err := c.Track(context.Background(), "u1", resp.RecommendationID, resp.Items[0].Item, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dup.Outcome != quality.OutcomeDuplicate {
-		t.Fatalf("duplicate track = %+v", dup)
-	}
-	snap := srv.Quality().Snapshot()
-	var clicks uint64
-	for _, ln := range snap.Lines {
-		clicks += ln.Cumulative.Clicks
-	}
-	if clicks != 1 {
-		t.Fatalf("server counted %d clicks, want 1", clicks)
-	}
-}
-
-// TestTrackAgainstDisabledServer: a 404 from a quality-disabled server
-// surfaces as an API error, not a retry loop.
-func TestTrackAgainstDisabledServer(t *testing.T) {
-	ts, _ := startServer(t)
-	c := newClient(t, ts.URL)
-	_, err := c.Track(context.Background(), "u1", 1, 0, "click")
-	if StatusCode(err) != http.StatusNotFound {
-		t.Fatalf("err = %v, want 404", err)
 	}
 }

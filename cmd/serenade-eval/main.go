@@ -3,12 +3,6 @@
 //	serenade-eval -experiment quality          # §5.1.1 model comparison
 //	serenade-eval -experiment grid             # Figure 2 hyperparameter sweep
 //	serenade-eval -experiment grid -profile rsc15-sim
-//	serenade-eval -quality-baseline baseline.json -profile ecom-1m-sim
-//
-// -quality-baseline replays the held-out test day through the serving
-// pipeline and writes the offline quality snapshot (MRR@k, hit-rank
-// distribution, coverage, popularity bias) that serenade-server loads as the
-// online drift detector's reference.
 //
 // Add -quick for shrunk datasets.
 package main
@@ -27,26 +21,12 @@ func main() {
 
 	var (
 		experiment = flag.String("experiment", "quality", "experiment to run: quality | grid")
-		profile    = flag.String("profile", "ecom-1m-sim", "dataset profile for the grid sweep and baseline")
+		profile    = flag.String("profile", "ecom-1m-sim", "dataset profile for the grid sweep")
 		quick      = flag.Bool("quick", false, "shrink datasets and sweeps")
 		seed       = flag.Int64("seed", 0, "random seed override")
-		baseline   = flag.String("quality-baseline", "", "write the offline drift baseline for -profile to this path and exit")
 	)
 	flag.Parse()
 	opts := experiments.Options{Quick: *quick, Seed: *seed}
-
-	if *baseline != "" {
-		base, err := experiments.QualityBaseline(*profile, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := base.Save(*baseline); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote %s: profile=%s events=%d MRR@%d=%.4f hit=%.4f cond=%.4f coverage=%.3f",
-			*baseline, base.Profile, base.Events, base.K, base.MRR, base.HitRate, base.CondMRR, base.Coverage)
-		return
-	}
 
 	switch *experiment {
 	case "quality":

@@ -11,10 +11,10 @@
 // the output through tools/benchjson captures the trajectory as the
 // versioned BENCH_slo.json artifact.
 //
-// -click-model runs the online quality loop instead: one quality-enabled
-// replica per -click-variants arm replays the labelled test workload while a
-// seeded position-biased click model simulates feedback through POST /track,
-// and the run prints the online-vs-offline MRR table plus a
+// -click-model runs the online quality loop instead: one replica per
+// -click-variants arm replays the labelled test workload, each response is
+// recorded as an exposure on the arm's click-attribution tracker, a seeded
+// position-biased click model simulates the feedback, and the run prints the online-vs-offline MRR table plus a
 // `BENCHJSON quality <json>` line (the BENCH_quality.json artifact). The
 // click stream is a pure function of -click-seed and the (session, step,
 // variant) identities, so a fixed seed reproduces the numbers exactly.

@@ -11,22 +11,21 @@ import (
 // (cluster, compressed, incremental, legacy, synth, ...) or the root
 // facade, which re-exports them, appearing in the closure fails the test.
 var serverDeps = map[string]bool{
-	"serenade/cmd/serenade-server":  true,
-	"serenade/internal/core":        true,
-	"serenade/internal/dataflow":    true, // the index builder, reached through index
-	"serenade/internal/dheap":       true,
-	"serenade/internal/failpoint":   true,
-	"serenade/internal/fastjson":    true,
-	"serenade/internal/index":       true,
-	"serenade/internal/kvstore":     true,
-	"serenade/internal/metrics":     true,
-	"serenade/internal/obs":         true,
-	"serenade/internal/obs/quality": true,
-	"serenade/internal/obs/slo":     true,
-	"serenade/internal/rank":        true,
-	"serenade/internal/serving":     true,
-	"serenade/internal/sessions":    true,
-	"serenade/internal/trending":    true,
+	"serenade/cmd/serenade-server": true,
+	"serenade/internal/core":       true,
+	"serenade/internal/dataflow":   true, // the index builder, reached through index
+	"serenade/internal/dheap":      true,
+	"serenade/internal/failpoint":  true,
+	"serenade/internal/fastjson":   true,
+	"serenade/internal/index":      true,
+	"serenade/internal/kvstore":    true,
+	"serenade/internal/metrics":    true,
+	"serenade/internal/obs":        true,
+	"serenade/internal/obs/slo":    true,
+	"serenade/internal/rank":       true,
+	"serenade/internal/serving":    true,
+	"serenade/internal/sessions":   true,
+	"serenade/internal/trending":   true,
 }
 
 // TestServerDeps pins the server's dependency closure within this module

@@ -29,7 +29,6 @@ import (
 	"serenade/internal/core"
 	"serenade/internal/index"
 	"serenade/internal/kvstore"
-	"serenade/internal/obs/quality"
 	"serenade/internal/serving"
 	"serenade/internal/trending"
 )
@@ -64,6 +63,26 @@ func parseByteSize(s string) (int64, error) {
 	return int64(n * float64(mult)), nil
 }
 
+// rollover is the daily index rollover: load the index file at path (mmap
+// for v2, so the new generation pages in on demand), swap it in under the
+// in-flight traffic and record the load time. The replaced mapping is
+// released once its last request drains; on failure the active index keeps
+// serving.
+func rollover(srv *serving.Server, path string) (*core.Index, time.Duration, error) {
+	start := time.Now()
+	next, err := index.LoadFile(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := srv.SwapIndex(next); err != nil {
+		next.Close()
+		return nil, 0, err
+	}
+	d := time.Since(start)
+	srv.RecordIndexLoad(d)
+	return next, d, nil
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("serenade-server: ")
@@ -92,10 +111,6 @@ func main() {
 		sloP99    = flag.Duration("slo-latency-p99", 50*time.Millisecond, "latency objective: requests slower than this burn error budget, tracked at /debug/slo (0 disables)")
 		sloBudget = flag.Float64("slo-latency-budget", 0, "fraction of requests allowed to exceed -slo-latency-p99 (0 = default 1%, a p99 objective)")
 		sloErr    = flag.Float64("slo-error-budget", 0.001, "fraction of requests allowed to fail before the error-rate SLO burns (0 disables)")
-
-		qVariant  = flag.String("quality-variant", "", "enable quality telemetry (POST /track, GET /debug/quality), naming this replica's A/B arm")
-		qWindow   = flag.Duration("quality-window", 0, "click-attribution window (0 = default 2m; requires -quality-variant)")
-		qBaseline = flag.String("quality-baseline", "", "offline baseline JSON from `serenade-eval -quality-baseline`, enables drift detection")
 
 		gogc     = flag.Int("gogc", 0, "GC target percentage (runtime/debug.SetGCPercent); 0 keeps the runtime default / GOGC env. The mostly-static index heap tolerates a high value (e.g. 400) for fewer GC cycles")
 		memLimit = flag.String("gomemlimit", "", "soft memory limit, e.g. 4GiB (runtime/debug.SetMemoryLimit); empty keeps the runtime default / GOMEMLIMIT env. Pair with a high -gogc to cap the pod instead of pacing by live-heap growth")
@@ -145,19 +160,6 @@ func main() {
 		tracker = trending.New(*trendHL, nil)
 	}
 
-	var qualityOpts *quality.Options
-	if *qVariant != "" || *qBaseline != "" {
-		qualityOpts = &quality.Options{Variant: *qVariant, Window: *qWindow}
-		if *qBaseline != "" {
-			base, err := quality.LoadBaseline(*qBaseline)
-			if err != nil {
-				log.Fatal(err)
-			}
-			qualityOpts.Baseline = base
-			log.Printf("loaded quality baseline %s: profile=%s MRR@%d=%.4f cond=%.4f events=%d",
-				*qBaseline, base.Profile, base.K, base.MRR, base.CondMRR, base.Events)
-		}
-	}
 	srv, err := serving.NewServer(idx, serving.Config{
 		Params:             core.Params{M: *m, K: *k},
 		ResultCacheSize:    *cacheSize,
@@ -181,8 +183,6 @@ func main() {
 		SLOLatencyThreshold: *sloP99,
 		SLOLatencyBudget:    *sloBudget,
 		SLOErrorBudget:      *sloErr,
-
-		Quality: qualityOpts,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -198,19 +198,11 @@ func main() {
 	signal.Notify(hup, syscall.SIGHUP)
 	go func() {
 		for range hup {
-			t0 := time.Now()
-			next, err := index.LoadFile(*indexPath)
+			next, d, err := rollover(srv, *indexPath)
 			if err != nil {
-				logger.Error("index reload failed", "path", *indexPath, "err", err)
+				logger.Error("index rollover failed", "path", *indexPath, "err", err)
 				continue
 			}
-			if err := srv.SwapIndex(next); err != nil {
-				next.Close()
-				logger.Error("index swap rejected", "err", err)
-				continue
-			}
-			d := time.Since(t0)
-			srv.RecordIndexLoad(d)
 			logger.Info("index rolled over", "sessions", next.NumSessions(),
 				"items", next.NumItems(), "mmap", next.Mapped(), "load", d.Round(time.Millisecond))
 		}

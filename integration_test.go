@@ -2,8 +2,8 @@ package serenade_test
 
 // End-to-end integration tests across the full stack: dataset generation →
 // CSV persistence → parallel index build → on-disk index format → HTTP
-// serving behind the sticky-session proxy → load replay → hot index
-// rollover under traffic.
+// serving behind the sticky-session proxy → load replay. The hot index
+// rollover under traffic is tested where it lives, in cmd/serenade-server.
 
 import (
 	"encoding/json"
@@ -12,10 +12,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"path/filepath"
-	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"serenade"
 	"serenade/internal/cluster"
@@ -129,80 +126,6 @@ func TestFullPipelineEndToEnd(t *testing.T) {
 		if seen[key] != 1 {
 			t.Fatalf("session %s state on %d replicas, want 1", key, seen[key])
 		}
-	}
-}
-
-func TestHotRolloverUnderTraffic(t *testing.T) {
-	ds, err := serenade.Generate(serenade.SmallDataset(31))
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, err := serenade.BuildIndex(ds, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := serenade.NewServer(idx, serenade.ServerConfig{Params: serenade.Params{M: 500, K: 100}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	// Tomorrow's index build, shipped to disk.
-	ds2, _ := serenade.Generate(serenade.SmallDataset(32))
-	idx2, err := serenade.BuildIndex(ds2, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "next.srn")
-	if err := serenade.SaveIndex(path, idx2); err != nil {
-		t.Fatal(err)
-	}
-
-	// Traffic flows while the rollover happens.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			client := ts.Client()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				resp, err := client.Get(fmt.Sprintf("%s/v1/recommend?session_id=w%d&item_id=%d", ts.URL, w, i%400))
-				if err != nil {
-					t.Errorf("request failed during rollover: %v", err)
-					return
-				}
-				if resp.StatusCode != http.StatusOK {
-					t.Errorf("status %d during rollover", resp.StatusCode)
-				}
-				resp.Body.Close()
-			}
-		}(w)
-	}
-
-	time.Sleep(50 * time.Millisecond)
-	body := fmt.Sprintf(`{"path":%q}`, path)
-	resp, err := http.Post(ts.URL+"/admin/reload", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("reload status = %d", resp.StatusCode)
-	}
-	time.Sleep(50 * time.Millisecond)
-	close(stop)
-	wg.Wait()
-
-	if got := srv.Stats().IndexSwaps; got != 1 {
-		t.Errorf("index swaps = %d, want 1", got)
 	}
 }
 

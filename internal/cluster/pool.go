@@ -6,7 +6,6 @@ import (
 
 	"serenade/internal/core"
 	"serenade/internal/obs"
-	"serenade/internal/obs/quality"
 	"serenade/internal/serving"
 )
 
@@ -118,43 +117,6 @@ func (p *Pool) Health() map[string]obs.HealthSignal {
 		out[name] = h
 	}
 	return out
-}
-
-// Quality collects the per-replica online quality snapshots, keyed by
-// replica name; replicas without quality telemetry enabled are omitted.
-func (p *Pool) Quality() map[string]quality.Snapshot {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	out := make(map[string]quality.Snapshot, len(p.replicas))
-	for name, srv := range p.replicas {
-		if q := srv.Quality(); q != nil {
-			out[name] = q.Snapshot()
-		}
-	}
-	return out
-}
-
-// Track routes a feedback event to every replica that has quality telemetry
-// until one attributes it: recommendation ids are replica-local, so the
-// event belongs to whichever replica recognises the id. The boolean result
-// is false when no replica attributed the event.
-func (p *Pool) Track(req serving.TrackRequest) (serving.TrackResponse, bool) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	var last serving.TrackResponse
-	tried := false
-	for _, srv := range p.replicas {
-		resp, ok := srv.Track(req)
-		if !ok {
-			continue
-		}
-		tried = true
-		last = resp
-		if resp.Outcome != "unknown_id" {
-			return resp, true
-		}
-	}
-	return last, tried
 }
 
 // Recommend routes the request to the session's sticky replica and serves

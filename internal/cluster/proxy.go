@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net"
 	"net/http"
 	"net/http/httputil"
@@ -34,8 +33,7 @@ import (
 // scrapeable at GET /proxy/metrics.prom, and retries idempotent requests
 // once on a transport failure before answering 502. GET /proxy/health fans
 // out to every backend's /debug/health and returns the overload signals
-// keyed by replica name; GET /proxy/quality does the same for the backends'
-// /debug/quality documents, the pool-wide view of the online quality loop.
+// keyed by replica name.
 type Proxy struct {
 	mu       sync.RWMutex
 	ring     *Ring
@@ -226,72 +224,6 @@ func (p *Proxy) handleHealth(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(out)
 }
 
-// handleQuality fans a GET /debug/quality out to every backend concurrently
-// and aggregates the per-replica quality documents, keyed by backend name.
-// The payloads stay opaque (json.RawMessage): the proxy republishes what the
-// replicas report rather than coupling to the quality schema.
-func (p *Proxy) handleQuality(w http.ResponseWriter, r *http.Request) {
-	p.mu.RLock()
-	targets := make(map[string]*url.URL, len(p.backends))
-	for name, b := range p.backends {
-		targets[name] = b.target
-	}
-	p.mu.RUnlock()
-
-	type result struct {
-		name string
-		doc  json.RawMessage
-		err  error
-	}
-	results := make(chan result, len(targets))
-	for name, target := range targets {
-		go func(name string, target *url.URL) {
-			res := result{name: name}
-			res.doc, res.err = p.fetchQuality(r.Context(), target)
-			results <- res
-		}(name, target)
-	}
-	out := struct {
-		Replicas map[string]json.RawMessage `json:"replicas"`
-		Errors   map[string]string          `json:"errors,omitempty"`
-	}{Replicas: make(map[string]json.RawMessage, len(targets))}
-	for range targets {
-		res := <-results
-		if res.err != nil {
-			if out.Errors == nil {
-				out.Errors = make(map[string]string)
-			}
-			out.Errors[res.name] = res.err.Error()
-			continue
-		}
-		out.Replicas[res.name] = res.doc
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(out)
-}
-
-// fetchQuality retrieves one backend's /debug/quality document. A replica
-// without quality telemetry enabled (404) reports as an error entry.
-func (p *Proxy) fetchQuality(ctx context.Context, target *url.URL) (json.RawMessage, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target.JoinPath("debug", "quality").String(), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := p.health.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	var doc json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return nil, err
-	}
-	return doc, nil
-}
-
 // fetchHealth retrieves one backend's /debug/health snapshot.
 func (p *Proxy) fetchHealth(ctx context.Context, target *url.URL) (obs.HealthSignal, error) {
 	var sig obs.HealthSignal
@@ -319,10 +251,6 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	if r.Method == http.MethodGet && r.URL.Path == "/proxy/health" {
 		p.handleHealth(w, r)
-		return
-	}
-	if r.Method == http.MethodGet && r.URL.Path == "/proxy/quality" {
-		p.handleQuality(w, r)
 		return
 	}
 	key := SessionKey(r)

@@ -45,8 +45,9 @@ type Index struct {
 
 var _ core.Source = (*Index)(nil)
 
-// FromIndex compresses an existing index. The original can be released
-// afterwards.
+// FromIndex compresses an existing index. Every array is the compressed
+// index's own copy, so the original — an mmap-backed one included — can be
+// closed and released afterwards.
 func FromIndex(src *core.Index) *Index {
 	n := src.NumSessions()
 	items := src.NumItems()
@@ -54,7 +55,7 @@ func FromIndex(src *core.Index) *Index {
 		numSessions: n,
 		numItems:    items,
 		capacity:    src.Capacity(),
-		times:       src.Times(),
+		times:       slices.Clone(src.Times()),
 		postingOff:  make([]uint32, items+1),
 		itemOff:     make([]uint32, n+1),
 		df:          make([]int32, items),

@@ -2,10 +2,13 @@ package compressed
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"serenade/internal/core"
+	"serenade/internal/index"
 	"serenade/internal/sessions"
 	"serenade/internal/synth"
 )
@@ -252,4 +255,50 @@ func BenchmarkAblationCompressedVsRaw(b *testing.B) {
 		}
 		b.ReportMetric(float64(c.MemoryFootprint()), "index-bytes")
 	})
+}
+
+// TestFromMappedIndexOutlivesSource compresses an mmap-backed index, closes
+// (unmaps) the source and queries the compressed copy: it must own every
+// array it reads and answer like the oracle over the raw in-memory index.
+func TestFromMappedIndexOutlivesSource(t *testing.T) {
+	src := sourceIndex(t, 5, 0)
+	path := filepath.Join(t.TempDir(), "index.srn")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := index.SaveV2(f, src); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := index.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := FromIndex(mapped)
+	if err := mapped.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	p := core.Params{M: 100, K: 50}
+	want, err := core.NewReferenceRecommender(src, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := core.NewReferenceRecommender(c, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(6))
+	for trial := 0; trial < 200; trial++ {
+		q := make([]sessions.ItemID, 1+rng.Intn(6))
+		for i := range q {
+			q[i] = sessions.ItemID(rng.Intn(500))
+		}
+		if a, b := want.Recommend(q, 21), got.Recommend(q, 21); !reflect.DeepEqual(a, b) {
+			t.Fatalf("compressed copy of a closed mapped index disagrees on %v:\n%v\nvs\n%v", q, b, a)
+		}
+	}
 }

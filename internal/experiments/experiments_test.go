@@ -11,6 +11,7 @@ import (
 
 	"serenade/internal/core"
 	"serenade/internal/loadgen"
+	"serenade/internal/serving"
 	"serenade/internal/sessions"
 )
 
@@ -384,8 +385,8 @@ func TestDurationPercentile(t *testing.T) {
 }
 
 // TestQualityRunQuick is the end-to-end acceptance check for the online
-// quality loop: replaying the labelled workload through quality-enabled
-// replicas with simulated position-biased clicks must recover, via inverse
+// quality loop: replaying the labelled workload through one replica per arm
+// with simulated position-biased clicks must recover, via inverse
 // propensity weighting, an online MRR estimate within tolerance of the
 // offline MRR the baseline replay measured on the very same traffic — and
 // the whole run must be deterministic under a fixed seed.
@@ -447,8 +448,24 @@ func TestQualityRunQuick(t *testing.T) {
 	}
 }
 
+// quickQualityWorkload indexes the quick quality profile and builds its
+// labelled click workload.
+func quickQualityWorkload(t *testing.T) (*sessions.Dataset, *core.Index, []loadgen.ClickStep) {
+	t.Helper()
+	train, test, err := prepProfile("retailrocket-sim", quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := core.BuildIndex(train, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return train, idx, loadgen.ClickWorkload(test, 0)
+}
+
 func TestQualityBaselineQuick(t *testing.T) {
-	base, err := QualityBaseline("retailrocket-sim", quick)
+	train, idx, steps := quickQualityWorkload(t)
+	base, err := offlineBaseline(idx, steps, "retailrocket-sim", trainPopularity(train), train.NumItems)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,5 +487,60 @@ func TestQualityBaselineQuick(t *testing.T) {
 	}
 	if base.Coverage <= 0 || base.Coverage > 1 {
 		t.Errorf("coverage = %v", base.Coverage)
+	}
+}
+
+// TestExposurePipeline: the pipeline the quality loop reads off a response
+// matches what the server did. A list ends in a zero-score item exactly when
+// the server counted it as padded, so it is attributed to knn+popular; a
+// request without consent is depersonalised whatever its list.
+func TestExposurePipeline(t *testing.T) {
+	_, idx, steps := quickQualityWorkload(t)
+	// The loop's own config never pads; padding is switched on here so every
+	// pipeline occurs.
+	cfg := qualityServingConfig()
+	cfg.FallbackToPopular = true
+	srv, err := serving.NewServer(idx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	// The labelled workload, every fourth request without consent, then
+	// first clicks on items outside the index, which only padding can fill.
+	var reqs []serving.Request
+	for i, st := range steps {
+		req := st.Request
+		req.Consent = i%4 != 0
+		reqs = append(reqs, req)
+	}
+	for i := 0; i < 4; i++ {
+		reqs = append(reqs, serving.Request{SessionKey: "cold-" + itoaU(uint64(i)), Item: sessions.ItemID(idx.NumItems() + i), Consent: true})
+	}
+	paddedTotal := srv.Registry().Counter("serenade_fallback_padded_total", "")
+	seen := map[string]int{}
+	for i, req := range reqs {
+		before := paddedTotal.Value()
+		resp, err := srv.Recommend(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		padded := paddedTotal.Value() > before
+		got := exposurePipeline(req.Consent, resp.Items)
+		want := "knn"
+		switch {
+		case !req.Consent:
+			want = "depersonalised"
+		case padded:
+			want = "knn+popular"
+		}
+		if got != want {
+			t.Fatalf("request %d (consent %v, padded %v): pipeline %q, want %q", i, req.Consent, padded, got, want)
+		}
+		seen[got]++
+	}
+	for _, p := range pipelines {
+		if seen[p] == 0 {
+			t.Errorf("workload never exercised pipeline %q: %v", p, seen)
+		}
 	}
 }

@@ -13,10 +13,11 @@ import (
 	"serenade/internal/sessions"
 )
 
-// QualityRunConfig drives the online quality loop: one quality-enabled
-// serving replica per variant, fed the labelled test workload through a
-// seeded position-biased click model, with the attributed feedback compared
-// against the offline baseline the same evaluation protocol produces.
+// QualityRunConfig drives the online quality loop: one serving replica and
+// one click-attribution tracker per variant, fed the labelled test workload
+// through a seeded position-biased click model, with the attributed
+// feedback compared against the offline baseline the same evaluation
+// protocol produces.
 type QualityRunConfig struct {
 	// Variants are the A/B arms to simulate; empty means {"a", "b"}.
 	Variants []string
@@ -144,25 +145,10 @@ func offlineBaseline(idx *core.Index, steps []loadgen.ClickStep, profile string,
 	return base, nil
 }
 
-// QualityBaseline evaluates a dataset profile offline and returns the drift
-// baseline; serenade-eval -quality-baseline writes it to disk for the
-// serving fleet to load.
-func QualityBaseline(profile string, opts Options) (*quality.Baseline, error) {
-	train, test, err := prepProfile(profile, opts)
-	if err != nil {
-		return nil, err
-	}
-	idx, err := core.BuildIndex(train, 500)
-	if err != nil {
-		return nil, err
-	}
-	return offlineBaseline(idx, loadgen.ClickWorkload(test, 0), profile, trainPopularity(train), train.NumItems)
-}
-
 // QualityRun closes the loop end to end: compute the offline baseline, then
-// replay the same labelled workload against one quality-enabled replica per
-// variant with simulated position-biased clicks, and report per-variant
-// online gauges next to the offline reference.
+// replay the same labelled workload against one replica per variant with
+// simulated position-biased clicks attributed by a tracker, and report
+// per-variant online gauges next to the offline reference.
 func QualityRun(cfg QualityRunConfig, opts Options) (*QualityRunResult, error) {
 	profile := "ecom-60m-sim"
 	if opts.Quick {
@@ -211,23 +197,44 @@ func QualityRun(cfg QualityRunConfig, opts Options) (*QualityRunResult, error) {
 	return res, nil
 }
 
-// runVariant replays the workload against one quality-enabled replica,
-// rolling the click model on the rank of the true next item and POSTing the
-// resulting feedback through the same Track path the frontend uses.
+// pipelines are the tracker lines a served list is attributed to, created
+// in this order so every run sums the lines in the same order.
+var pipelines = [...]string{"knn", "knn+popular", "depersonalised"}
+
+// exposurePipeline names the path that shaped a served list. Consent denial
+// dominates (the whole prediction was depersonalised); then popularity
+// padding, which appends zero-score items after the kernel's strictly
+// positive ones; anything else is the plain kNN list.
+func exposurePipeline(consent bool, items []core.ScoredItem) string {
+	switch {
+	case !consent:
+		return "depersonalised"
+	case len(items) > 0 && items[len(items)-1].Score == 0:
+		return "knn+popular"
+	}
+	return "knn"
+}
+
+// runVariant replays the workload against one serving replica, records each
+// response as an exposure on the variant's tracker, rolls the click model
+// on the rank of the true next item and attributes the resulting click
+// back to its exposure.
 func runVariant(idx *core.Index, steps []loadgen.ClickStep, variant string, cfg QualityRunConfig, base *quality.Baseline, pop map[sessions.ItemID]float64, catalogSize int) (QualityRunRow, error) {
-	scfg := qualityServingConfig()
-	scfg.Quality = &quality.Options{
+	srv, err := serving.NewServer(idx, qualityServingConfig())
+	if err != nil {
+		return QualityRunRow{}, err
+	}
+	defer srv.Close()
+	tr := quality.New(quality.Options{
 		Variant:     variant,
 		Baseline:    base,
 		K:           base.K,
 		CatalogSize: catalogSize,
 		Popularity:  func(it sessions.ItemID) float64 { return pop[it] },
+	})
+	for _, p := range pipelines {
+		tr.Line(p)
 	}
-	srv, err := serving.NewServer(idx, scfg)
-	if err != nil {
-		return QualityRunRow{}, err
-	}
-	defer srv.Close()
 
 	for round := 0; round < cfg.Rounds; round++ {
 		suffix := "/r" + itoaU(uint64(round))
@@ -244,14 +251,15 @@ func runVariant(idx *core.Index, steps []loadgen.ClickStep, variant string, cfg 
 			if err != nil {
 				return QualityRunRow{}, err
 			}
+			id := tr.RecordExposure(tr.Line(exposurePipeline(req.Consent, resp.Items)), resp.Items)
 			r := st.RankOfNext(resp.Items)
 			if r > 0 && cfg.Model.Clicks(req.SessionKey, st.Step, variant, r) {
-				srv.Track(serving.TrackRequest{RecommendationID: resp.RecommendationID, Item: st.Next})
+				tr.Attribute(id, st.Next, false)
 			}
 		}
 	}
 
-	snap := srv.Quality().Snapshot()
+	snap := tr.Snapshot()
 	row := QualityRunRow{Variant: variant, OfflineMRR: base.MRR}
 	rankClicks := make([]uint64, base.K)
 	var rrSum float64
@@ -278,7 +286,7 @@ func runVariant(idx *core.Index, steps []loadgen.ClickStep, variant string, cfg 
 	if row.OfflineMRR > 0 {
 		row.DeltaPct = (row.OnlineMRR - row.OfflineMRR) / row.OfflineMRR * 100
 	}
-	drift := srv.Quality().Drift()
+	drift := tr.Drift()
 	row.RankTV = drift.RankTV
 	row.Drift = drift.Drifting
 	row.DriftReason = drift.Reason

@@ -30,15 +30,6 @@ type HealthSignal struct {
 	FastBurn bool    `json:"slo_fast_burn"`
 	SlowBurn bool    `json:"slo_slow_burn"`
 
-	// Recommendation-quality drift summary (worst variant/pipeline line):
-	// whether the online click-rank/score distribution departed from the
-	// offline baseline, the tripped check, and the headline online numbers.
-	QualityDrift       bool    `json:"quality_drift"`
-	QualityDriftReason string  `json:"quality_drift_reason,omitempty"`
-	QualityRankTV      float64 `json:"quality_rank_tv,omitempty"`
-	QualityMRRRatio    float64 `json:"quality_mrr_ratio,omitempty"`
-	QualityCTR         float64 `json:"quality_ctr,omitempty"`
-
 	// Runtime pressure. AllocRate is the heap allocation rate between
 	// successive health polls — the leading GC-pressure indicator: a deploy
 	// that regresses the hot path's allocation discipline shows here before

@@ -1,15 +1,10 @@
 package quality
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-)
-
 // Baseline is an offline quality snapshot the drift detector compares the
-// online stream against. serenade-eval emits one (-quality-baseline) from the
-// same evaluation loop that prints MRR@k, so the reference distribution is
-// the recommender as it actually evaluated — not a hand-maintained constant.
+// online stream against. The quality experiment computes it by replaying the
+// same labelled workload through the serving pipeline, so the reference
+// distribution is the recommender as it actually evaluated — not a
+// hand-maintained constant.
 type Baseline struct {
 	// Profile names the dataset profile the baseline was evaluated on.
 	Profile string `json:"profile,omitempty"`
@@ -37,26 +32,4 @@ type Baseline struct {
 	Events int `json:"events"`
 	// GeneratedAt is an informational timestamp string set by the emitter.
 	GeneratedAt string `json:"generated_at,omitempty"`
-}
-
-// Save writes the baseline as indented JSON.
-func (b *Baseline) Save(path string) error {
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return fmt.Errorf("quality: marshal baseline: %w", err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadBaseline reads a baseline snapshot written by Save.
-func LoadBaseline(path string) (*Baseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("quality: read baseline: %w", err)
-	}
-	var b Baseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("quality: parse baseline %s: %w", path, err)
-	}
-	return &b, nil
 }

@@ -14,15 +14,14 @@ func TestRecordPathAllocs(t *testing.T) {
 		Popularity: func(it sessions.ItemID) float64 { return float64(it) }})
 	ln := tr.Line("knn")
 	list := recs(1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
-	tail := []sessions.ItemID{1, 2, 3}
 
 	if n := testing.AllocsPerRun(1000, func() {
-		tr.RecordExposure(ln, list, tail, "req")
+		tr.RecordExposure(ln, list)
 	}); n != 0 {
 		t.Fatalf("RecordExposure allocates %.1f/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() {
-		id := tr.RecordExposure(ln, list, tail, "req")
+		id := tr.RecordExposure(ln, list)
 		tr.Attribute(id, 3, false)
 	}); n != 0 {
 		t.Fatalf("RecordExposure+Attribute allocates %.1f/op, want 0", n)
@@ -34,11 +33,10 @@ func BenchmarkRecordExposure(b *testing.B) {
 		Popularity: func(it sessions.ItemID) float64 { return float64(it) }})
 	ln := tr.Line("knn")
 	list := recs(1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
-	tail := []sessions.ItemID{1, 2, 3}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.RecordExposure(ln, list, tail, "req")
+		tr.RecordExposure(ln, list)
 	}
 }
 
@@ -49,7 +47,7 @@ func BenchmarkAttribute(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id := tr.RecordExposure(ln, list, nil, "")
+		id := tr.RecordExposure(ln, list)
 		tr.Attribute(id, list[i%len(list)].Item, false)
 	}
 }
@@ -64,7 +62,7 @@ func BenchmarkRecordExposureParallel(b *testing.B) {
 			list[i] = core.ScoredItem{Item: sessions.ItemID(i + 1), Score: float64(10 - i)}
 		}
 		for pb.Next() {
-			id := tr.RecordExposure(ln, list, nil, "")
+			id := tr.RecordExposure(ln, list)
 			tr.Attribute(id, list[0].Item, false)
 		}
 	})

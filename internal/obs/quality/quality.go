@@ -1,32 +1,30 @@
-// Package quality closes Serenade's feedback loop: the serving tier stamps
-// every response with a recommendation id and records an exposure (variant,
-// pipeline, top-k items, session tail); click/conversion feedback arriving
-// at POST /track is attributed back to the exposure within a configurable
-// window; and the attributed stream is folded into per-variant, per-pipeline
-// windowed quality gauges — attributed CTR, online MRR estimates, the
-// click-rank histogram, catalogue coverage and popularity-bias quantiles —
-// plus a drift detector that compares the online rank/score distribution
-// against an offline baseline snapshot from serenade-eval.
+// Package quality is the click-attribution loop of the online quality
+// experiment (serenade-loadtest -click-model): each served recommendation
+// list is recorded as an exposure (variant, pipeline, top-k items) under a
+// recommendation id; click/conversion feedback is attributed back to the
+// exposure within a configurable window; and the attributed stream is
+// folded into per-variant, per-pipeline windowed quality gauges —
+// attributed CTR, online MRR estimates, the click-rank histogram, catalogue
+// coverage and popularity-bias quantiles — plus a drift detector that
+// compares the online rank/score distribution against an offline baseline.
 //
 // The paper's §6 validates Serenade with exactly this signal (online CTR
 // uplift per variant); this package is what makes that experiment runnable
-// on the reproduction. The exposure-record and attribution paths are
-// zero-alloc and wait-free-ish (fixed rings, atomics, one short per-slot
-// mutex), built on the metrics.WindowedCounter second-buckets so the gauges
-// roll forward without a sweeper thread.
+// on the reproduction. It sits beside the serving pods, not in them: the
+// experiment reads each response and records it here. The exposure-record
+// and attribution paths are zero-alloc and wait-free-ish (fixed rings,
+// atomics, one short per-slot mutex), built on the metrics.WindowedCounter
+// second-buckets so the gauges roll forward without a sweeper thread.
 package quality
 
 import (
-	"encoding/json"
 	"math"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"serenade/internal/core"
 	"serenade/internal/metrics"
-	"serenade/internal/obs"
 	"serenade/internal/rank"
 	"serenade/internal/sessions"
 )
@@ -35,8 +33,6 @@ const (
 	// MaxK bounds the recommendation list length an exposure slot can hold;
 	// lists are truncated, never dropped.
 	MaxK = 32
-	// maxTail bounds the session-tail suffix kept per exposure for debugging.
-	maxTail = 8
 	// rankRingSize bounds the windowed click-rank sample ring per line; the
 	// drift distribution is computed over the most recent samples inside the
 	// horizon, which is ample for a total-variation test.
@@ -110,12 +106,9 @@ type slot struct {
 	atUnix    int64
 	line      *Line
 	n         uint8
-	tailN     uint8
 	clicked   bool
 	finalized bool
-	reqID     string
 	items     [MaxK]sessions.ItemID
-	tail      [maxTail]sessions.ItemID
 }
 
 // Line accumulates quality counters for one (variant, pipeline) pair. All
@@ -179,7 +172,6 @@ type Tracker struct {
 	mu    sync.Mutex
 	lines map[string]*Line
 	list  []*Line
-	reg   *obs.Registry
 }
 
 // New creates a Tracker, applying Option defaults.
@@ -222,19 +214,8 @@ func New(opts Options) *Tracker {
 	return t
 }
 
-// Variant reports the configured variant name.
-func (t *Tracker) Variant() string { return t.opts.Variant }
-
-// Window reports the attribution window.
-func (t *Tracker) Window() time.Duration { return t.opts.Window }
-
-// Baseline reports the configured offline baseline (nil when absent).
-func (t *Tracker) Baseline() *Baseline { return t.opts.Baseline }
-
 // Line returns the accumulator for a pipeline under this tracker's variant,
-// creating (and, if a registry is attached, registering) it on first use.
-// Serving resolves its pipelines once at startup so the request path never
-// takes this lock.
+// creating it on first use. Snapshot reports lines in creation order.
 func (t *Tracker) Line(pipeline string) *Line {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -256,9 +237,6 @@ func (t *Tracker) Line(pipeline string) *Line {
 	}
 	t.lines[pipeline] = ln
 	t.list = append(t.list, ln)
-	if t.reg != nil {
-		t.registerLine(t.reg, ln)
-	}
 	return ln
 }
 
@@ -275,7 +253,7 @@ func (t *Tracker) snapshotLines() []*Line {
 // recommendation id (never zero). The slot previously occupying the ring
 // position is finalised as a non-click if its feedback never arrived.
 // The path is allocation-free: fixed arrays, atomics, and one slot mutex.
-func (t *Tracker) RecordExposure(ln *Line, recs []core.ScoredItem, tail []sessions.ItemID, reqID string) uint64 {
+func (t *Tracker) RecordExposure(ln *Line, recs []core.ScoredItem) uint64 {
 	now := t.nowUnix()
 	id := t.seq.Add(1)
 	s := &t.slots[id%uint64(len(t.slots))]
@@ -290,7 +268,6 @@ func (t *Tracker) RecordExposure(ln *Line, recs []core.ScoredItem, tail []sessio
 	s.line = ln
 	s.clicked = false
 	s.finalized = false
-	s.reqID = reqID
 	n := len(recs)
 	if n > t.k {
 		n = t.k
@@ -298,15 +275,6 @@ func (t *Tracker) RecordExposure(ln *Line, recs []core.ScoredItem, tail []sessio
 	s.n = uint8(n)
 	for i := 0; i < n; i++ {
 		s.items[i] = recs[i].Item
-	}
-	tn := len(tail)
-	if tn > maxTail {
-		tail = tail[tn-maxTail:]
-		tn = maxTail
-	}
-	s.tailN = uint8(tn)
-	for i := 0; i < tn; i++ {
-		s.tail[i] = tail[i]
 	}
 	s.mu.Unlock()
 
@@ -564,7 +532,7 @@ type LineSnapshot struct {
 	Drift         DriftState `json:"drift"`
 }
 
-// Snapshot is the full /debug/quality document.
+// Snapshot is a tracker's full quality picture.
 type Snapshot struct {
 	Time      time.Time      `json:"time"`
 	Variant   string         `json:"variant"`
@@ -574,7 +542,6 @@ type Snapshot struct {
 	Lines     []LineSnapshot `json:"lines"`
 	Unmatched uint64         `json:"unmatched_track_events"`
 	Baseline  *Baseline      `json:"baseline,omitempty"`
-	Exposures []ExposureView `json:"exposures,omitempty"`
 }
 
 // lineSnapshot assembles one line's snapshot.
@@ -632,157 +599,4 @@ func (t *Tracker) Snapshot() Snapshot {
 		snap.Lines = append(snap.Lines, t.lineSnapshot(ln))
 	}
 	return snap
-}
-
-// ExposureView is a debug rendering of one live exposure slot.
-type ExposureView struct {
-	ID         uint64            `json:"id"`
-	AgeSeconds int64             `json:"age_seconds"`
-	Variant    string            `json:"variant"`
-	Pipeline   string            `json:"pipeline"`
-	RequestID  string            `json:"request_id,omitempty"`
-	Items      []sessions.ItemID `json:"items"`
-	Tail       []sessions.ItemID `json:"tail,omitempty"`
-	Clicked    bool              `json:"clicked"`
-	Finalized  bool              `json:"finalized"`
-}
-
-// exposures renders up to limit live slots, newest first by id.
-func (t *Tracker) exposures(limit int) []ExposureView {
-	now := t.nowUnix()
-	out := make([]ExposureView, 0, limit)
-	for i := range t.slots {
-		s := &t.slots[i]
-		s.mu.Lock()
-		if s.id == 0 {
-			s.mu.Unlock()
-			continue
-		}
-		v := ExposureView{
-			ID:         s.id,
-			AgeSeconds: now - s.atUnix,
-			Variant:    s.line.variant,
-			Pipeline:   s.line.pipeline,
-			RequestID:  s.reqID,
-			Items:      append([]sessions.ItemID(nil), s.items[:s.n]...),
-			Clicked:    s.clicked,
-			Finalized:  s.finalized,
-		}
-		if s.tailN > 0 {
-			v.Tail = append([]sessions.ItemID(nil), s.tail[:s.tailN]...)
-		}
-		s.mu.Unlock()
-		out = append(out, v)
-		if len(out) >= limit {
-			break
-		}
-	}
-	return out
-}
-
-// Handler serves the snapshot as JSON; ?exposures=1 adds a sample of live
-// exposure slots for debugging attribution issues.
-func (t *Tracker) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		snap := t.Snapshot()
-		if r.URL.Query().Get("exposures") == "1" {
-			snap.Exposures = t.exposures(64)
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(snap)
-	})
-}
-
-// RegisterMetrics exposes the serenade_quality_* families on a registry and
-// remembers it so lines created later self-register.
-func (t *Tracker) RegisterMetrics(reg *obs.Registry) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.reg = reg
-	reg.CounterFunc("serenade_quality_track_unmatched_total",
-		"Track events that referenced no live exposure.",
-		func() float64 { return float64(t.unmatched.Load()) })
-	for _, ln := range t.list {
-		t.registerLine(reg, ln)
-	}
-}
-
-// registerLine wires one line's gauge/counter funcs. Caller holds t.mu.
-func (t *Tracker) registerLine(reg *obs.Registry, ln *Line) {
-	lbl := []string{"variant", ln.variant, "pipeline", ln.pipeline}
-	counter := func(name, help string, v *atomic.Uint64) {
-		reg.CounterFunc(name, help, func() float64 { return float64(v.Load()) }, lbl...)
-	}
-	counter("serenade_quality_exposures_total", "Recommendation lists served, by variant and pipeline.", &ln.cumExposures)
-	counter("serenade_quality_clicks_total", "Clicks attributed to an exposure within the window.", &ln.cumClicks)
-	counter("serenade_quality_conversions_total", "Conversions attributed to an exposure within the window.", &ln.cumConversions)
-	counter("serenade_quality_nonclicks_total", "Exposures finalised without a click inside the window.", &ln.finNonclick)
-	counter("serenade_quality_duplicate_clicks_total", "Clicks on an exposure already credited.", &ln.dupClicks)
-	counter("serenade_quality_offlist_clicks_total", "Tracked items absent from the exposure's list.", &ln.offlistClicks)
-	counter("serenade_quality_late_clicks_total", "Feedback arriving after the attribution window.", &ln.lateClicks)
-	for _, w := range []time.Duration{time.Minute, t.opts.Horizon} {
-		w := w
-		wl := append(append([]string(nil), lbl...), "window", w.String())
-		reg.GaugeFunc("serenade_quality_ctr",
-			"Attributed click-through rate over the trailing window.",
-			func() float64 { return t.windowStats(ln, w).CTR }, wl...)
-		reg.GaugeFunc("serenade_quality_mrr",
-			"Online MRR estimate (reciprocal ranks over exposures) over the trailing window.",
-			func() float64 { return t.windowStats(ln, w).MRR }, wl...)
-		reg.GaugeFunc("serenade_quality_cond_mrr",
-			"Online MRR conditioned on a click over the trailing window.",
-			func() float64 { return t.windowStats(ln, w).CondMRR }, wl...)
-	}
-	reg.GaugeFunc("serenade_quality_coverage",
-		"Share of the catalogue recommended inside the horizon.",
-		func() float64 { return t.coverage(ln) }, lbl...)
-	for _, q := range []struct {
-		name string
-		q    float64
-	}{{"0.5", 0.5}, {"0.9", 0.9}, {"0.99", 0.99}} {
-		q := q
-		reg.GaugeFunc("serenade_quality_popularity",
-			"Quantiles of mean list popularity over the horizon (popularity bias).",
-			func() float64 {
-				return rank.Quantile(t.windowedSamples(&ln.popStamp, &ln.popBits, t.opts.Horizon), q.q)
-			}, append(append([]string(nil), lbl...), "quantile", q.name)...)
-	}
-	for i := range ln.rankCum {
-		c := &ln.rankCum[i]
-		reg.CounterFunc("serenade_quality_rank_clicks_total",
-			"Attributed clicks by rank position.",
-			func() float64 { return float64(c.Load()) },
-			append(append([]string(nil), lbl...), "rank", itoa(i+1))...)
-	}
-	reg.GaugeFunc("serenade_quality_drift",
-		"1 when the online quality distribution drifts from the offline baseline.",
-		func() float64 {
-			if t.lineDrift(ln).Drifting {
-				return 1
-			}
-			return 0
-		}, lbl...)
-	reg.GaugeFunc("serenade_quality_drift_rank_tv",
-		"Total-variation distance between online and baseline click-rank distributions.",
-		func() float64 { return t.lineDrift(ln).RankTV }, lbl...)
-	reg.GaugeFunc("serenade_quality_drift_mrr_ratio",
-		"Online conditional MRR over the offline baseline's (1 = on baseline).",
-		func() float64 { return t.lineDrift(ln).MRRRatio }, lbl...)
-}
-
-// itoa is strconv.Itoa for small positive ints without the import weight.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

@@ -1,17 +1,12 @@
 package quality
 
 import (
-	"encoding/json"
-	"net/http/httptest"
-	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"serenade/internal/core"
-	"serenade/internal/obs"
 	"serenade/internal/sessions"
 )
 
@@ -42,7 +37,7 @@ func TestAttributionOutcomes(t *testing.T) {
 	tr := newTracker(clk, Options{Variant: "a"})
 	ln := tr.Line("knn")
 
-	id := tr.RecordExposure(ln, recs(10, 20, 30), []sessions.ItemID{1, 2}, "req-1")
+	id := tr.RecordExposure(ln, recs(10, 20, 30))
 	if id == 0 {
 		t.Fatal("RecordExposure returned id 0")
 	}
@@ -61,7 +56,7 @@ func TestAttributionOutcomes(t *testing.T) {
 		t.Fatalf("conversion outcome = %+v", at)
 	}
 	// An item that was never in the list cannot be credited.
-	id2 := tr.RecordExposure(ln, recs(10, 20, 30), nil, "")
+	id2 := tr.RecordExposure(ln, recs(10, 20, 30))
 	if at := tr.Attribute(id2, 99, false); at.Outcome != OutcomeOfflist {
 		t.Fatalf("offlist outcome = %+v", at)
 	}
@@ -99,7 +94,7 @@ func TestNonClickFinalizedOnce(t *testing.T) {
 	clk.set(1000)
 	tr := newTracker(clk, Options{Window: 30 * time.Second, Horizon: 5 * time.Minute})
 	ln := tr.Line("knn")
-	id := tr.RecordExposure(ln, recs(10, 20), nil, "")
+	id := tr.RecordExposure(ln, recs(10, 20))
 
 	// Inside the window nothing finalises.
 	tr.Sweep()
@@ -134,7 +129,7 @@ func TestLateClickFinalizesUnsweptSlot(t *testing.T) {
 	clk.set(1000)
 	tr := newTracker(clk, Options{Window: 30 * time.Second})
 	ln := tr.Line("knn")
-	id := tr.RecordExposure(ln, recs(10), nil, "")
+	id := tr.RecordExposure(ln, recs(10))
 	clk.advance(31)
 	if at := tr.Attribute(id, 10, false); at.Outcome != OutcomeExpired {
 		t.Fatalf("outcome = %+v", at)
@@ -157,19 +152,19 @@ func TestRecycleFinalizesLappedExposure(t *testing.T) {
 	tr := newTracker(clk, Options{Exposures: 1, Window: time.Minute})
 	ln := tr.Line("knn")
 
-	tr.RecordExposure(ln, recs(10), nil, "") // will be lapped unclicked
-	tr.RecordExposure(ln, recs(20), nil, "") // laps slot 0
+	tr.RecordExposure(ln, recs(10)) // will be lapped unclicked
+	tr.RecordExposure(ln, recs(20)) // laps slot 0
 	if n := ln.finNonclick.Load(); n != 1 {
 		t.Fatalf("non-clicks after lap = %d, want 1", n)
 	}
 
 	// Clicked exposures are already resolved: lapping them adds nothing, and
 	// neither does the post-expiry sweep.
-	id := tr.RecordExposure(ln, recs(30), nil, "")
+	id := tr.RecordExposure(ln, recs(30))
 	if at := tr.Attribute(id, 30, false); at.Outcome != OutcomeAttributed {
 		t.Fatalf("outcome = %+v", at)
 	}
-	tr.RecordExposure(ln, recs(40), nil, "")
+	tr.RecordExposure(ln, recs(40))
 	clk.advance(61)
 	tr.Sweep()
 	// Ids 1..4 share the one slot: id1 lapped unclicked (#1), id2 lapped
@@ -191,7 +186,7 @@ func TestWindowedStatsRollOff(t *testing.T) {
 	// 4 exposures, 2 clicks at ranks 1 and 2.
 	ids := make([]uint64, 4)
 	for i := range ids {
-		ids[i] = tr.RecordExposure(ln, recs(10, 20, 30), nil, "")
+		ids[i] = tr.RecordExposure(ln, recs(10, 20, 30))
 	}
 	tr.Attribute(ids[0], 10, false)
 	tr.Attribute(ids[1], 20, true)
@@ -233,8 +228,8 @@ func TestCoverageAndPopularity(t *testing.T) {
 	pop := func(it sessions.ItemID) float64 { return float64(it) }
 	tr := newTracker(clk, Options{CatalogSize: 10, Popularity: pop, Horizon: 2 * time.Minute})
 	ln := tr.Line("knn")
-	tr.RecordExposure(ln, recs(1, 2, 3), nil, "")
-	tr.RecordExposure(ln, recs(2, 3, 4), nil, "")
+	tr.RecordExposure(ln, recs(1, 2, 3))
+	tr.RecordExposure(ln, recs(2, 3, 4))
 
 	if cov := tr.coverage(ln); cov != 0.4 { // items 1,2,3,4 of 10
 		t.Fatalf("coverage = %v, want 0.4", cov)
@@ -245,7 +240,7 @@ func TestCoverageAndPopularity(t *testing.T) {
 		t.Fatalf("popularity quantiles missing: %+v", ls)
 	}
 	// Out-of-catalogue items are ignored, not panicking.
-	tr.RecordExposure(ln, recs(99), nil, "")
+	tr.RecordExposure(ln, recs(99))
 	if cov := tr.coverage(ln); cov != 0.4 {
 		t.Fatalf("coverage after offcatalog = %v, want 0.4", cov)
 	}
@@ -265,7 +260,7 @@ func TestDriftCTRFloor(t *testing.T) {
 	})
 	ln := tr.Line("knn")
 	for i := 0; i < 20; i++ {
-		tr.RecordExposure(ln, recs(10, 20), nil, "")
+		tr.RecordExposure(ln, recs(10, 20))
 	}
 	st := tr.Drift()
 	if !st.Drifting || st.Reason != "ctr_floor" {
@@ -278,7 +273,7 @@ func TestDriftCTRFloor(t *testing.T) {
 	})
 	ln2 := tr2.Line("knn")
 	for i := 0; i < 20; i++ {
-		tr2.RecordExposure(ln2, recs(10, 20), nil, "")
+		tr2.RecordExposure(ln2, recs(10, 20))
 	}
 	if st := tr2.Drift(); st.Drifting {
 		t.Fatalf("under-gated drift = %+v, want healthy", st)
@@ -290,7 +285,7 @@ func TestDriftCTRFloor(t *testing.T) {
 func driveClicks(tr *Tracker, ln *Line, n, clickRank int) {
 	list := recs(10, 20, 30, 40, 50)
 	for i := 0; i < n; i++ {
-		id := tr.RecordExposure(ln, list, nil, "")
+		id := tr.RecordExposure(ln, list)
 		tr.Attribute(id, list[clickRank-1].Item, false)
 	}
 }
@@ -348,7 +343,7 @@ func TestDriftScoreRatio(t *testing.T) {
 	ln := tr.Line("knn")
 	// Top scores of recs(10,20,30,40,50) are 5 — 5% of the baseline median.
 	for i := 0; i < 10; i++ {
-		tr.RecordExposure(ln, recs(10, 20, 30, 40, 50), nil, "")
+		tr.RecordExposure(ln, recs(10, 20, 30, 40, 50))
 	}
 	st := tr.Drift()
 	if !st.Drifting || st.Reason != "score_ratio" {
@@ -379,85 +374,25 @@ func TestDriftHealthyAndWorstLine(t *testing.T) {
 	}
 }
 
-func TestSnapshotHandlerJSON(t *testing.T) {
+// TestSnapshot: one attributed exposure shows in the snapshot's header,
+// its line and the line's windowed clicks.
+func TestSnapshot(t *testing.T) {
 	clk := &fakeClock{}
 	clk.set(1000)
 	tr := newTracker(clk, Options{Variant: "b", CatalogSize: 10})
 	ln := tr.Line("knn")
-	id := tr.RecordExposure(ln, recs(1, 2, 3), []sessions.ItemID{7, 8}, "req-42")
+	id := tr.RecordExposure(ln, recs(1, 2, 3))
 	tr.Attribute(id, 2, false)
 
-	rr := httptest.NewRecorder()
-	tr.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/quality?exposures=1", nil))
-	if rr.Code != 200 {
-		t.Fatalf("status = %d", rr.Code)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(rr.Body.Bytes(), &snap); err != nil {
-		t.Fatalf("bad JSON: %v\n%s", err, rr.Body.String())
-	}
+	snap := tr.Snapshot()
 	if snap.Variant != "b" || snap.K != MaxK || len(snap.Lines) != 1 {
 		t.Fatalf("snapshot = %+v", snap)
-	}
-	if len(snap.Exposures) != 1 || snap.Exposures[0].RequestID != "req-42" ||
-		len(snap.Exposures[0].Tail) != 2 || !snap.Exposures[0].Clicked {
-		t.Fatalf("exposures view = %+v", snap.Exposures)
 	}
 	if got := snap.Lines[0].Windows[0].Clicks; got != 1 {
 		t.Fatalf("windowed clicks = %d, want 1", got)
 	}
-}
-
-func TestBaselineSaveLoad(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	in := &Baseline{Profile: "smoke", K: 20, MRR: 0.31, HitRate: 0.52, CondMRR: 0.6,
-		RankDist: []float64{0.5, 0.3, 0.2}, Events: 1234}
-	if err := in.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	out, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.K != 20 || out.CondMRR != 0.6 || len(out.RankDist) != 3 || out.Events != 1234 {
-		t.Fatalf("roundtrip = %+v", out)
-	}
-	if _, err := LoadBaseline(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("loading a missing baseline should fail")
-	}
-}
-
-func TestRegisterMetricsFamilies(t *testing.T) {
-	clk := &fakeClock{}
-	clk.set(1000)
-	tr := newTracker(clk, Options{Variant: "a", CatalogSize: 5})
-	pre := tr.Line("knn") // registered retroactively
-	reg := obs.NewRegistry()
-	tr.RegisterMetrics(reg)
-	post := tr.Line("knn+popular") // self-registers lazily
-	tr.RecordExposure(pre, recs(1, 2), nil, "")
-	tr.RecordExposure(post, recs(3), nil, "")
-
-	var sb strings.Builder
-	reg.WritePrometheus(&sb)
-	text := sb.String()
-	for _, family := range []string{
-		"serenade_quality_exposures_total",
-		"serenade_quality_clicks_total",
-		"serenade_quality_nonclicks_total",
-		"serenade_quality_ctr",
-		"serenade_quality_cond_mrr",
-		"serenade_quality_coverage",
-		"serenade_quality_rank_clicks_total",
-		"serenade_quality_drift",
-		"serenade_quality_track_unmatched_total",
-	} {
-		if !strings.Contains(text, family) {
-			t.Fatalf("exposition missing %s:\n%s", family, text)
-		}
-	}
-	if !strings.Contains(text, `pipeline="knn+popular"`) {
-		t.Fatalf("lazily created line not registered:\n%s", text)
+	if got := snap.Lines[0].RankClicks[1]; got != 1 {
+		t.Fatalf("rank-2 clicks = %d, want 1", got)
 	}
 }
 
@@ -486,7 +421,7 @@ func TestConcurrentTracking(t *testing.T) {
 			defer wg.Done()
 			list := recs(1, 2, 3, 4, 5)
 			for i := 0; i < 2000; i++ {
-				id := tr.RecordExposure(ln, list, nil, "")
+				id := tr.RecordExposure(ln, list)
 				if i%3 == 0 {
 					tr.Attribute(id, list[i%5].Item, i%7 == 0)
 				}

@@ -117,9 +117,10 @@ func escapeLabel(v string) string {
 	return r.Replace(v)
 }
 
-// getOrAdd finds or creates the family and the series for a label set.
-// Returns nil when a series exists already (caller keeps the old one).
-func (r *Registry) getOrAdd(name, help, typ string, labels []string) *series {
+// getOrAdd finds or creates the family and the series for a label set and
+// runs set on the series under the registry lock, so a registration never
+// races a concurrent scrape.
+func (r *Registry) getOrAdd(name, help, typ string, labels []string, set func(*series)) {
 	suffix := labelSuffix(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -133,74 +134,80 @@ func (r *Registry) getOrAdd(name, help, typ string, labels []string) *series {
 	}
 	for _, s := range f.series {
 		if s.labels == suffix {
-			return s
+			set(s)
+			return
 		}
 	}
 	s := &series{labels: suffix}
 	f.series = append(f.series, s)
-	return s
+	set(s)
 }
 
 // Counter returns the counter for name+labels, creating it if needed.
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
-	s := r.getOrAdd(name, help, "counter", labels)
-	if s.counter == nil {
-		s.counter = &Counter{}
-	}
-	return s.counter
+	var c *Counter
+	r.getOrAdd(name, help, "counter", labels, func(s *series) {
+		if s.counter == nil {
+			s.counter = &Counter{}
+		}
+		c = s.counter
+	})
+	return c
 }
 
 // Gauge returns the gauge for name+labels, creating it if needed.
 func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	s := r.getOrAdd(name, help, "gauge", labels)
-	if s.gauge == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
+	var g *Gauge
+	r.getOrAdd(name, help, "gauge", labels, func(s *series) {
+		if s.gauge == nil {
+			s.gauge = &Gauge{}
+		}
+		g = s.gauge
+	})
+	return g
 }
 
 // GaugeFunc registers a gauge whose value is computed at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
-	s := r.getOrAdd(name, help, "gauge", labels)
-	s.fn = fn
+	r.getOrAdd(name, help, "gauge", labels, func(s *series) { s.fn = fn })
 }
 
 // CounterFunc registers a counter whose value is read at scrape time from
 // an external monotonic source (e.g. a kvstore's internal op counters).
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...string) {
-	s := r.getOrAdd(name, help, "counter", labels)
-	s.fn = fn
+	r.getOrAdd(name, help, "counter", labels, func(s *series) { s.fn = fn })
 }
 
 // Histogram registers a latency histogram for cumulative-bucket exposition.
 // The source's nanosecond HDR buckets are folded into the registry's
 // `le`-second boundaries at scrape time.
 func (r *Registry) Histogram(name, help string, h histogramSource, labels ...string) {
-	s := r.getOrAdd(name, help, "histogram", labels)
-	s.hist = h
+	r.getOrAdd(name, help, "histogram", labels, func(s *series) { s.hist = h })
 }
 
 // WritePrometheus emits every registered metric in the Prometheus text
 // exposition format (version 0.0.4), families in registration order,
 // series sorted within a family.
 func (r *Registry) WritePrometheus(w io.Writer) {
+	// Copy every family and series under the read lock: registration
+	// appends series and sets their instruments under the write lock.
 	r.mu.RLock()
-	order := make([]string, len(r.order))
-	copy(order, r.order)
-	fams := make(map[string]*family, len(r.families))
-	for k, v := range r.families {
-		fams[k] = v
+	fams := make([]family, len(r.order))
+	for i, name := range r.order {
+		f := r.families[name]
+		fams[i] = family{name: f.name, help: f.help, typ: f.typ, series: make([]*series, len(f.series))}
+		for j, s := range f.series {
+			cp := *s
+			fams[i].series[j] = &cp
+		}
 	}
 	r.mu.RUnlock()
 
-	for _, name := range order {
-		f := fams[name]
+	for _, f := range fams {
 		fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help)
 		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ)
-		srs := make([]*series, len(f.series))
-		copy(srs, f.series)
-		sort.Slice(srs, func(i, j int) bool { return srs[i].labels < srs[j].labels })
-		for _, s := range srs {
+		sort.Slice(f.series, func(i, j int) bool { return f.series[i].labels < f.series[j].labels })
+		for _, s := range f.series {
 			switch {
 			case s.hist != nil:
 				r.writeHistogram(w, f.name, s)

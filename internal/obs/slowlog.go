@@ -28,11 +28,6 @@ type SlowLog struct {
 	// line carries the SLO burn picture the request contributed to. It
 	// returns the worst current burn rate and the page/ticket conditions.
 	burnState atomic.Pointer[func() (worst float64, fastBurn, slowBurn bool)]
-
-	// qualityState, when set, adds the recommendation-quality drift picture
-	// to the same burn-state context: whether online quality has departed
-	// from the offline baseline, and the drift statistic behind the call.
-	qualityState atomic.Pointer[func() (drifting bool, reason string)]
 }
 
 // NewSlowLog creates a slow-query log. A nil logger uses slog.Default();
@@ -52,15 +47,6 @@ func NewSlowLog(logger *slog.Logger, threshold time.Duration, maxPerSecond int) 
 func (l *SlowLog) SetBurnState(fn func() (worst float64, fastBurn, slowBurn bool)) {
 	if l != nil && fn != nil {
 		l.burnState.Store(&fn)
-	}
-}
-
-// SetQualityState wires a provider (typically the quality tracker's drift
-// detector) whose verdict is attached to every slow-query entry next to the
-// SLO burn state.
-func (l *SlowLog) SetQualityState(fn func() (drifting bool, reason string)) {
-	if l != nil && fn != nil {
-		l.qualityState.Store(&fn)
 	}
 }
 
@@ -115,13 +101,6 @@ func (l *SlowLog) Log(sp *Span) {
 			"slo_fast_burn", fastBurn,
 			"slo_slow_burn", slowBurn,
 		)
-	}
-	if fn := l.qualityState.Load(); fn != nil {
-		drifting, reason := (*fn)()
-		attrs = append(attrs, "quality_drift", drifting)
-		if reason != "" {
-			attrs = append(attrs, "quality_drift_reason", reason)
-		}
 	}
 	if sp.Error != "" {
 		attrs = append(attrs, "error", sp.Error)

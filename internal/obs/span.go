@@ -102,9 +102,9 @@ type Span struct {
 	ParentID string // parent span id when the trace was propagated to us
 	Op       string
 	// RequestID is the id echoed to the caller in X-Request-Id (the inbound
-	// header when the caller supplied one, else the trace id). It joins an
-	// attributed recommendation-quality record back to its span in the
-	// slow-query log and the error-tier trace ring.
+	// header when the caller supplied one, else the trace id). It joins a
+	// caller's own logs to the span in the slow-query log and the
+	// error-tier trace ring.
 	RequestID string
 
 	Start  time.Time

@@ -6,8 +6,6 @@ import (
 	"io"
 	"net/http"
 	"testing"
-
-	"serenade/internal/obs/quality"
 )
 
 // Steady-state allocation budgets for the HTTP edge, in allocations per
@@ -22,7 +20,6 @@ const (
 	allocBudgetRecommendGet  = 2 // key is a RawQuery substring; ids + header value remain
 	allocBudgetCacheHit      = 3 // same as the miss path; the cache itself adds none
 	allocBudgetReplay        = 3 // stored-bytes replay still mints ids
-	allocBudgetTrack         = 0 // no session key, no per-request ids on /track
 )
 
 // allocEps absorbs the occasional sync.Pool refill after a GC cycle lands
@@ -133,31 +130,5 @@ func TestHTTPAllocBudgets(t *testing.T) {
 		}
 		got := measureAllocs(t, keyed, req, body)
 		checkBudget(t, "POST /v1/recommend (fresh key, full idempotency table)", got, allocBudgetRecommendPost)
-	})
-
-	t.Run("Track", func(t *testing.T) {
-		s := testServer(t, Config{Quality: &quality.Options{Variant: "alloc"}})
-		resp, err := s.Recommend(Request{SessionKey: "alloc-track", Item: popularItem(), Consent: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(resp.Items) == 0 {
-			t.Fatal("no items to click")
-		}
-		payload, err := json.Marshal(TrackRequest{
-			RecommendationID: resp.RecommendationID,
-			Item:             resp.Items[0].Item,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		body := &resettableBody{}
-		body.Reset(payload)
-		req, err := http.NewRequest(http.MethodPost, "/track", body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := measureAllocs(t, s.Handler(), req, body)
-		checkBudget(t, "POST /track", got, allocBudgetTrack)
 	})
 }

@@ -9,7 +9,7 @@ import (
 	"serenade/internal/sessions"
 )
 
-// This file holds the hand-rolled wire codecs for the four fixed HTTP edge
+// This file holds the hand-rolled wire codecs for the two fixed HTTP edge
 // schemas. Each Encode* is byte-identical to json.Marshal for every value
 // the server can produce, and each Decode* accepts exactly the documents the
 // handler's previous json.Decoder accepted with the same resulting struct —
@@ -142,79 +142,6 @@ func DecodeRequest(d *fastjson.Dec, data []byte, req *Request) error {
 	}
 }
 
-// EncodeTrackRequest appends the json.Marshal form of req.
-func EncodeTrackRequest(dst []byte, req *TrackRequest) []byte {
-	dst = append(dst, `{"recommendation_id":`...)
-	dst = fastjson.AppendUint(dst, req.RecommendationID)
-	dst = append(dst, `,"item_id":`...)
-	dst = fastjson.AppendItemID(dst, uint32(req.Item))
-	if req.Event != "" {
-		dst = append(dst, `,"event":`...)
-		dst = fastjson.AppendString(dst, req.Event)
-	}
-	return append(dst, '}')
-}
-
-// DecodeTrackRequest parses data into req with strict handleTrack semantics
-// (json.Decoder + DisallowUnknownFields).
-func DecodeTrackRequest(d *fastjson.Dec, data []byte, req *TrackRequest) error {
-	d.Init(data)
-	if d.TryNull() {
-		return nil
-	}
-	if err := d.Expect('{'); err != nil {
-		return err
-	}
-	if d.TryConsume('}') {
-		return nil
-	}
-	for {
-		key, err := d.ReadString()
-		if err != nil {
-			return err
-		}
-		var known string
-		switch {
-		case foldEq(key, "recommendation_id"):
-			known = "recommendation_id"
-		case foldEq(key, "item_id"):
-			known = "item_id"
-		case foldEq(key, "event"):
-			known = "event"
-		default:
-			return errUnknownField(key)
-		}
-		if err := d.Expect(':'); err != nil {
-			return err
-		}
-		if !d.TryNull() {
-			switch known {
-			case "recommendation_id":
-				if req.RecommendationID, err = d.ReadUint(); err != nil {
-					return err
-				}
-			case "item_id":
-				if req.Item, err = readItemID(d); err != nil {
-					return err
-				}
-			case "event":
-				s, err := d.ReadString()
-				if err != nil {
-					return err
-				}
-				req.Event = string(s)
-			}
-		}
-		done, err := endObjectField(d)
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-	}
-}
-
 // EncodeResponse appends the json.Marshal form of resp. core.ScoredItem has
 // no json tags, so items marshal with Go field names; a nil slice encodes as
 // null, like encoding/json.
@@ -238,10 +165,6 @@ func EncodeResponse(dst []byte, resp *Response) []byte {
 	}
 	dst = append(dst, `,"session_length":`...)
 	dst = fastjson.AppendInt(dst, int64(resp.SessionLength))
-	if resp.RecommendationID != 0 {
-		dst = append(dst, `,"recommendation_id":`...)
-		dst = fastjson.AppendUint(dst, resp.RecommendationID)
-	}
 	return append(dst, '}')
 }
 
@@ -272,8 +195,6 @@ func DecodeResponse(d *fastjson.Dec, data []byte, resp *Response) error {
 			known = "items"
 		case foldEq(key, "session_length"):
 			known = "session_length"
-		case foldEq(key, "recommendation_id"):
-			known = "recommendation_id"
 		}
 		if err := d.Expect(':'); err != nil {
 			return err
@@ -292,12 +213,6 @@ func DecodeResponse(d *fastjson.Dec, data []byte, resp *Response) error {
 					return err
 				}
 				resp.SessionLength = int(v)
-			}
-		case "recommendation_id":
-			if !d.TryNull() {
-				if resp.RecommendationID, err = d.ReadUint(); err != nil {
-					return err
-				}
 			}
 		default:
 			if err := d.SkipValue(); err != nil {
@@ -397,95 +312,6 @@ func decodeScoredItem(d *fastjson.Dec, it *core.ScoredItem) error {
 				if it.Score, err = d.ReadFloat(); err != nil {
 					return err
 				}
-			}
-		default:
-			if err := d.SkipValue(); err != nil {
-				return err
-			}
-		}
-		done, err := endObjectField(d)
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-	}
-}
-
-// EncodeTrackResponse appends the json.Marshal form of resp.
-func EncodeTrackResponse(dst []byte, resp *TrackResponse) []byte {
-	dst = append(dst, `{"outcome":`...)
-	dst = fastjson.AppendString(dst, resp.Outcome)
-	if resp.Rank != 0 {
-		dst = append(dst, `,"rank":`...)
-		dst = fastjson.AppendInt(dst, int64(resp.Rank))
-	}
-	if resp.Variant != "" {
-		dst = append(dst, `,"variant":`...)
-		dst = fastjson.AppendString(dst, resp.Variant)
-	}
-	if resp.Pipeline != "" {
-		dst = append(dst, `,"pipeline":`...)
-		dst = fastjson.AppendString(dst, resp.Pipeline)
-	}
-	return append(dst, '}')
-}
-
-// DecodeTrackResponse parses data into resp with lenient client semantics.
-func DecodeTrackResponse(d *fastjson.Dec, data []byte, resp *TrackResponse) error {
-	d.Init(data)
-	if d.TryNull() {
-		return nil
-	}
-	if err := d.Expect('{'); err != nil {
-		return err
-	}
-	if d.TryConsume('}') {
-		return nil
-	}
-	for {
-		key, err := d.ReadString()
-		if err != nil {
-			return err
-		}
-		known := ""
-		switch {
-		case foldEq(key, "outcome"):
-			known = "outcome"
-		case foldEq(key, "rank"):
-			known = "rank"
-		case foldEq(key, "variant"):
-			known = "variant"
-		case foldEq(key, "pipeline"):
-			known = "pipeline"
-		}
-		if err := d.Expect(':'); err != nil {
-			return err
-		}
-		switch known {
-		case "outcome", "variant", "pipeline":
-			if !d.TryNull() {
-				s, err := d.ReadString()
-				if err != nil {
-					return err
-				}
-				switch known {
-				case "outcome":
-					resp.Outcome = string(s)
-				case "variant":
-					resp.Variant = string(s)
-				case "pipeline":
-					resp.Pipeline = string(s)
-				}
-			}
-		case "rank":
-			if !d.TryNull() {
-				v, err := d.ReadInt()
-				if err != nil {
-					return err
-				}
-				resp.Rank = int(v)
 			}
 		default:
 			if err := d.SkipValue(); err != nil {

@@ -18,26 +18,12 @@ var codecRequests = []Request{
 	{SessionKey: "bad\xffutf8", Item: 4096},
 }
 
-var codecTrackRequests = []TrackRequest{
-	{},
-	{RecommendationID: 1, Item: 2},
-	{RecommendationID: 1 << 60, Item: 99, Event: "conversion"},
-	{RecommendationID: 7, Item: 0, Event: "click"},
-}
-
 var codecResponses = []Response{
 	{},
 	{Items: []core.ScoredItem{}, SessionLength: 1},
-	{Items: []core.ScoredItem{{Item: 3, Score: 0.5}}, SessionLength: 2, RecommendationID: 9},
+	{Items: []core.ScoredItem{{Item: 3, Score: 0.5}}, SessionLength: 2},
 	{Items: []core.ScoredItem{{Item: 0, Score: 0}, {Item: 4097, Score: 0.265511}, {Item: 1<<32 - 1, Score: 1e-9}}, SessionLength: -3},
-	{Items: nil, SessionLength: 100, RecommendationID: 1<<64 - 1},
-}
-
-var codecTrackResponses = []TrackResponse{
-	{},
-	{Outcome: "attributed", Rank: 3, Variant: "b", Pipeline: "knn"},
-	{Outcome: "off<list>", Rank: -1},
-	{Outcome: "dup", Variant: "a&b"},
+	{Items: nil, SessionLength: 100},
 }
 
 // TestEncodeByteCompat proves every encoder matches json.Marshal byte for
@@ -49,22 +35,10 @@ func TestEncodeByteCompat(t *testing.T) {
 			t.Errorf("EncodeRequest(%+v)\n got %s\nwant %s", v, got, want)
 		}
 	}
-	for _, v := range codecTrackRequests {
-		want, _ := json.Marshal(v)
-		if got := EncodeTrackRequest(nil, &v); !bytes.Equal(got, want) {
-			t.Errorf("EncodeTrackRequest(%+v)\n got %s\nwant %s", v, got, want)
-		}
-	}
 	for _, v := range codecResponses {
 		want, _ := json.Marshal(v)
 		if got := EncodeResponse(nil, &v); !bytes.Equal(got, want) {
 			t.Errorf("EncodeResponse(%+v)\n got %s\nwant %s", v, got, want)
-		}
-	}
-	for _, v := range codecTrackResponses {
-		want, _ := json.Marshal(v)
-		if got := EncodeTrackResponse(nil, &v); !bytes.Equal(got, want) {
-			t.Errorf("EncodeTrackResponse(%+v)\n got %s\nwant %s", v, got, want)
 		}
 	}
 }
@@ -84,7 +58,9 @@ func lenientRefDecode(data []byte, out any) error {
 
 // decodeInputs is a battery of documents exercising every semantic corner:
 // null no-ops, case folding, duplicate keys, unknown fields, type errors,
-// overflow, trailing data, escapes in keys and values.
+// overflow, trailing data, escapes in keys and values. The
+// recommendation_id and outcome documents are fields no schema here has,
+// so every decoder must treat them as unknown.
 var decodeInputs = []string{
 	``, ` `, `null`, `{}`, `[]`, `"s"`, `0`, `true`,
 	`{"session_id":"a","item_id":1,"consent":true}`,
@@ -148,23 +124,6 @@ func TestDecodeRequestDifferential(t *testing.T) {
 	}
 }
 
-func TestDecodeTrackRequestDifferential(t *testing.T) {
-	var d fastjson.Dec
-	for _, in := range decodeInputs {
-		var want TrackRequest
-		wantErr := strictRefDecode([]byte(in), &want)
-		var got TrackRequest
-		gotErr := DecodeTrackRequest(&d, []byte(in), &got)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Errorf("DecodeTrackRequest(%q): err = %v, reference err = %v", in, gotErr, wantErr)
-			continue
-		}
-		if wantErr == nil && got != want {
-			t.Errorf("DecodeTrackRequest(%q) = %+v, want %+v", in, got, want)
-		}
-	}
-}
-
 func TestDecodeResponseDifferential(t *testing.T) {
 	var d fastjson.Dec
 	for _, in := range decodeInputs {
@@ -184,23 +143,6 @@ func TestDecodeResponseDifferential(t *testing.T) {
 		}
 		if (got.Items == nil) != (want.Items == nil) {
 			t.Errorf("DecodeResponse(%q): items nil-ness %v vs %v", in, got.Items == nil, want.Items == nil)
-		}
-	}
-}
-
-func TestDecodeTrackResponseDifferential(t *testing.T) {
-	var d fastjson.Dec
-	for _, in := range decodeInputs {
-		var want TrackResponse
-		wantErr := lenientRefDecode([]byte(in), &want)
-		var got TrackResponse
-		gotErr := DecodeTrackResponse(&d, []byte(in), &got)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Errorf("DecodeTrackResponse(%q): err = %v, reference err = %v", in, gotErr, wantErr)
-			continue
-		}
-		if wantErr == nil && got != want {
-			t.Errorf("DecodeTrackResponse(%q) = %+v, want %+v", in, got, want)
 		}
 	}
 }
@@ -271,27 +213,6 @@ func FuzzFastJSON(f *testing.F) {
 		}
 
 		{
-			var want, got TrackRequest
-			wantErr := strictRefDecode(data, &want)
-			gotErr := DecodeTrackRequest(&d, data, &got)
-			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("TrackRequest decode divergence on %q: %v vs %v", data, gotErr, wantErr)
-			}
-			if wantErr == nil {
-				if got != want {
-					t.Fatalf("TrackRequest value divergence on %q: %+v vs %+v", data, got, want)
-				}
-				wantB, err := json.Marshal(want)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if gotB := EncodeTrackRequest(nil, &got); !bytes.Equal(gotB, wantB) {
-					t.Fatalf("TrackRequest encode divergence: %s vs %s", gotB, wantB)
-				}
-			}
-		}
-
-		{
 			var want, got Response
 			wantErr := lenientRefDecode(data, &want)
 			gotErr := DecodeResponse(&d, data, &got)
@@ -308,27 +229,6 @@ func FuzzFastJSON(f *testing.F) {
 				}
 				if gotB := EncodeResponse(nil, &got); !bytes.Equal(gotB, wantB) {
 					t.Fatalf("Response encode divergence: %s vs %s", gotB, wantB)
-				}
-			}
-		}
-
-		{
-			var want, got TrackResponse
-			wantErr := lenientRefDecode(data, &want)
-			gotErr := DecodeTrackResponse(&d, data, &got)
-			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("TrackResponse decode divergence on %q: %v vs %v", data, gotErr, wantErr)
-			}
-			if wantErr == nil {
-				if got != want {
-					t.Fatalf("TrackResponse value divergence on %q: %+v vs %+v", data, got, want)
-				}
-				wantB, err := json.Marshal(want)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if gotB := EncodeTrackResponse(nil, &got); !bytes.Equal(gotB, wantB) {
-					t.Fatalf("TrackResponse encode divergence: %s vs %s", gotB, wantB)
 				}
 			}
 		}

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"serenade/internal/index"
 	"serenade/internal/obs"
 	"serenade/internal/sessions"
 )
@@ -33,38 +32,54 @@ const IdempotencyReplayHeader = "X-Idempotency-Replay"
 //	POST /v1/recommend            body: {"session_id","item_id","consent"}
 //	GET  /v1/recommend?session_id=&item_id=&consent=   (frontend beacon form)
 //	GET  /v1/session/{id}         debug view of stored session state
+//	GET  /v1/explain?session_id=&item_id=   neighbour sessions behind a score
+//	GET  /v1/trending?n=&new=     companion "new and trending" slot
 //	GET  /healthz                 liveness probe for the orchestrator
 //	GET  /metrics                 JSON counters
 //	GET  /metrics.prom            Prometheus text exposition
 //	GET  /debug/traces            recent request traces with stage timings
 //	GET  /debug/slo               multi-window SLO burn rates (JSON)
 //	GET  /debug/health            overload telemetry snapshot (JSON)
-//	POST /track                   click/conversion feedback attribution
-//	GET  /debug/quality           online quality windows + drift (JSON)
+//
+// Adding a route is a reviewed decision: routes is the whole public
+// surface, pinned by TestRoutes. Index rollover is not a route; the serving
+// binary reloads its index file on SIGHUP.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/recommend", s.handleRecommendPost)
-	mux.HandleFunc("GET /v1/recommend", s.handleRecommendGet)
-	mux.HandleFunc("POST /track", s.handleTrack)
-	mux.HandleFunc("GET /debug/quality", s.handleQuality)
-	mux.HandleFunc("GET /v1/session/{id}", s.handleSession)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, s.Stats())
-	})
-	mux.HandleFunc("GET /metrics.prom", s.handlePromMetrics)
-	mux.Handle("GET /debug/traces", s.tracer.Handler())
-	mux.Handle("GET /debug/slo", s.slo.Handler())
-	mux.HandleFunc("GET /debug/health", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, s.Health())
-	})
-	mux.HandleFunc("GET /v1/explain", s.handleExplain)
-	mux.HandleFunc("GET /v1/trending", s.handleTrending)
-	mux.HandleFunc("POST /admin/reload", s.handleReload)
+	for _, rt := range s.routes() {
+		mux.Handle(rt.pattern, rt.handler)
+	}
 	return mux
+}
+
+// route is one public pattern and its handler.
+type route struct {
+	pattern string
+	handler http.Handler
+}
+
+// routes lists the public routes in registration order.
+func (s *Server) routes() []route {
+	return []route{
+		{"POST /v1/recommend", http.HandlerFunc(s.handleRecommendPost)},
+		{"GET /v1/recommend", http.HandlerFunc(s.handleRecommendGet)},
+		{"GET /v1/session/{id}", http.HandlerFunc(s.handleSession)},
+		{"GET /healthz", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			w.WriteHeader(http.StatusOK)
+			fmt.Fprintln(w, "ok")
+		})},
+		{"GET /metrics", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			writeJSON(w, http.StatusOK, s.Stats())
+		})},
+		{"GET /metrics.prom", http.HandlerFunc(s.handlePromMetrics)},
+		{"GET /debug/traces", s.tracer.Handler()},
+		{"GET /debug/slo", s.slo.Handler()},
+		{"GET /debug/health", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			writeJSON(w, http.StatusOK, s.Health())
+		})},
+		{"GET /v1/explain", http.HandlerFunc(s.handleExplain)},
+		{"GET /v1/trending", http.HandlerFunc(s.handleTrending)},
+	}
 }
 
 // handleTrending serves the companion "new and trending" slot.
@@ -120,75 +135,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, ex)
-}
-
-// handleReload loads a new index file and swaps it in atomically — the
-// endpoint the daily offline job calls after shipping a fresh build.
-func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Path string `json:"path"`
-	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil || req.Path == "" {
-		writeError(w, http.StatusBadRequest, "body must be {\"path\": \"<index file>\"}")
-		return
-	}
-	idx, err := index.LoadFile(req.Path)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "loading index: "+err.Error())
-		return
-	}
-	if err := s.SwapIndex(idx); err != nil {
-		idx.Close() // release the fresh mapping; nothing serves from it
-		writeError(w, http.StatusUnprocessableEntity, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"sessions": idx.NumSessions(),
-		"items":    idx.NumItems(),
-	})
-}
-
-// handleTrack ingests click/conversion feedback and attributes it back to
-// the exposure its recommendation id names. The whole path — body read,
-// decode, encode — runs on pooled scratch buffers.
-func (s *Server) handleTrack(w http.ResponseWriter, r *http.Request) {
-	if s.quality == nil {
-		writeError(w, http.StatusNotFound, "quality telemetry is not enabled on this server")
-		return
-	}
-	sc := getScratch()
-	defer putScratch(sc)
-	body, ok := s.readBody(w, r, sc)
-	if !ok {
-		return
-	}
-	var req TrackRequest
-	if err := DecodeTrackRequest(&sc.dec, body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request body: "+err.Error())
-		return
-	}
-	if req.Event != "" && req.Event != "click" && req.Event != "conversion" {
-		writeError(w, http.StatusBadRequest, "event must be \"click\" or \"conversion\"")
-		return
-	}
-	resp, _ := s.Track(req)
-	// Trailing newline matches the json.Encoder framing this endpoint has
-	// always used.
-	sc.enc = append(EncodeTrackResponse(sc.enc[:0], &resp), '\n')
-	w.Header()["Content-Type"] = contentTypeJSON
-	w.WriteHeader(http.StatusOK)
-	w.Write(sc.enc)
-}
-
-// handleQuality serves the online quality snapshot.
-func (s *Server) handleQuality(w http.ResponseWriter, r *http.Request) {
-	if s.quality == nil {
-		writeError(w, http.StatusNotFound, "quality telemetry is not enabled on this server")
-		return
-	}
-	s.quality.Handler().ServeHTTP(w, r)
 }
 
 func (s *Server) handleRecommendPost(w http.ResponseWriter, r *http.Request) {
@@ -306,8 +252,8 @@ func (s *Server) serveRecommend(w http.ResponseWriter, r *http.Request, req Requ
 	defer s.inflight.Add(-1)
 	sp := s.tracer.StartRemote("recommend", r.Header.Get(obs.TraceparentHeader))
 	// The caller's own request id wins when supplied; either way the id on
-	// the span is what the exposure record and the slow-query log carry, so
-	// an attributed bad recommendation joins back to its trace.
+	// the span is what the trace ring and the slow-query log carry, so a
+	// caller's report of a bad recommendation joins back to its trace.
 	sp.RequestID = r.Header.Get(obs.RequestIDHeader)
 	if sp.RequestID == "" {
 		sp.RequestID = sp.TraceID

@@ -7,8 +7,6 @@ import (
 	"io"
 	"net/http"
 	"testing"
-
-	"serenade/internal/obs/quality"
 )
 
 // benchResponseWriter is a reusable ResponseWriter so the benchmark measures
@@ -152,34 +150,4 @@ func BenchmarkHTTPKeyedFullTable(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkHTTPTrack measures click-feedback ingestion end to end.
-func BenchmarkHTTPTrack(b *testing.B) {
-	s := testServer(b, Config{Quality: &quality.Options{Variant: "bench"}})
-	h := s.Handler()
-
-	// One exposure to attribute against; duplicate clicks still exercise the
-	// full decode → attribute → encode path.
-	resp, err := s.Recommend(Request{SessionKey: "bench-track", Item: popularItem(), Consent: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if len(resp.Items) == 0 {
-		b.Fatal("no items to click")
-	}
-	payload, err := json.Marshal(TrackRequest{
-		RecommendationID: resp.RecommendationID,
-		Item:             resp.Items[0].Item,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	body := &resettableBody{}
-	body.Reset(payload)
-	req, err := http.NewRequest(http.MethodPost, "/track", body)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchServe(b, h, []*http.Request{req}, []*resettableBody{body})
 }

@@ -186,3 +186,62 @@ func TestSlowQueryLogging(t *testing.T) {
 		t.Errorf("no flush summary:\n%s", buf.String())
 	}
 }
+
+// TestRequestIDPropagation is the request-id satellite: a caller-supplied
+// X-Request-Id must be echoed on the response, stamped into slow-query log
+// lines, and visible in the retained trace views.
+func TestRequestIDPropagation(t *testing.T) {
+	var logBuf bytes.Buffer
+	clock := &testClock{now: time.Unix(1_700_000_000, 0)}
+	s := testServer(t, Config{
+		Now:                clock.Now,
+		SlowQueryThreshold: time.Nanosecond, // every request logs
+		Logger:             slog.New(slog.NewTextHandler(&logBuf, nil)),
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/recommend",
+		strings.NewReader(`{"session_id":"u1","item_id":0,"consent":true}`))
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(obs.RequestIDHeader, "req-abc-123")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if got := resp.Header.Get(obs.RequestIDHeader); got != "req-abc-123" {
+		t.Fatalf("echoed request id = %q, want req-abc-123", got)
+	}
+
+	// The slow-query log line carries the id.
+	if !strings.Contains(logBuf.String(), "request_id=req-abc-123") {
+		t.Fatalf("slow log missing request_id:\n%s", logBuf.String())
+	}
+
+	// The trace ring carries it too.
+	traces, err := http.Get(ts.URL + "/debug/traces")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := new(bytes.Buffer)
+	body.ReadFrom(traces.Body)
+	traces.Body.Close()
+	if !strings.Contains(body.String(), `"request_id": "req-abc-123"`) &&
+		!strings.Contains(body.String(), `"request_id":"req-abc-123"`) {
+		t.Fatalf("trace view missing request_id:\n%s", body.String())
+	}
+
+	// Without a caller-supplied id the trace id stands in — never empty.
+	req2, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/recommend",
+		strings.NewReader(`{"session_id":"u2","item_id":0,"consent":true}`))
+	req2.Header.Set("Content-Type", "application/json")
+	resp2, err := http.DefaultClient.Do(req2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp2.Body.Close()
+	if resp2.Header.Get(obs.RequestIDHeader) == "" {
+		t.Fatal("request id header empty without caller-supplied id")
+	}
+}

@@ -13,8 +13,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"serenade/internal/obs/quality"
 )
 
 var (
@@ -162,7 +160,7 @@ func splitLabelPairs(s string) []string {
 
 // TestPromExpositionConformance is the promlint-style satellite: scrape the
 // full /metrics.prom of a server with every subsystem enabled (cache, slow
-// log, SLO engine, quality loop) and lint naming, type lines, histogram bucket
+// log, SLO engine) and lint naming, type lines, histogram bucket
 // monotonicity, and the presence of the new serenade_slo_* and health
 // families.
 func TestPromExpositionConformance(t *testing.T) {
@@ -172,16 +170,10 @@ func TestPromExpositionConformance(t *testing.T) {
 		SLOLatencyThreshold: time.Millisecond,
 		SLOErrorBudget:      0.001,
 		Logger:              slog.New(slog.NewTextHandler(io.Discard, nil)),
-		Quality:             &quality.Options{Variant: "a"},
 	})
 	for i := 0; i < 10; i++ {
-		resp, err := s.Recommend(Request{SessionKey: "u1", Item: popularItem(), Consent: true})
-		if err != nil {
+		if _, err := s.Recommend(Request{SessionKey: "u1", Item: popularItem(), Consent: true}); err != nil {
 			t.Fatal(err)
-		}
-		// Attribute a click so the quality counters carry real values.
-		if i == 0 && len(resp.Items) > 0 {
-			s.Track(TrackRequest{RecommendationID: resp.RecommendationID, Item: resp.Items[0].Item})
 		}
 	}
 	ts := httptest.NewServer(s.Handler())
@@ -216,19 +208,6 @@ func TestPromExpositionConformance(t *testing.T) {
 		"serenade_slowlog_entries_total":         false,
 		"serenade_slowlog_suppressed_total":      false,
 		"serenade_result_cache_hit_ratio":        false,
-		"serenade_quality_exposures_total":       false,
-		"serenade_quality_clicks_total":          false,
-		"serenade_quality_conversions_total":     false,
-		"serenade_quality_nonclicks_total":       false,
-		"serenade_quality_ctr":                   false,
-		"serenade_quality_mrr":                   false,
-		"serenade_quality_cond_mrr":              false,
-		"serenade_quality_coverage":              false,
-		"serenade_quality_rank_clicks_total":     false,
-		"serenade_quality_drift":                 false,
-		"serenade_quality_drift_rank_tv":         false,
-		"serenade_quality_drift_mrr_ratio":       false,
-		"serenade_quality_track_unmatched_total": false,
 	}
 	for _, sm := range samples {
 		if _, ok := want[sm.name]; ok {

@@ -21,8 +21,7 @@ import (
 // ResponseWriter, so nothing downstream may retain a reference past the
 // handler's return. Everything that must outlive the request — the session
 // key, kvstore values, cache entries published to other requests — is
-// copied out by its owner (kvstore.Put, resultCache.fill,
-// quality.RecordExposure all copy).
+// copied out by its owner (kvstore.Put and resultCache.fill both copy).
 type reqScratch struct {
 	// dec is the reusable JSON scanner; its internal unescape buffer
 	// amortises across requests.
@@ -62,7 +61,7 @@ func getScratch() *reqScratch   { return scratchPool.Get().(*reqScratch) }
 func putScratch(sc *reqScratch) { scratchPool.Put(sc) }
 
 // maxRequestBody bounds a request body: one that fills this many bytes is
-// refused. Real recommend and track bodies are under 100 bytes; the bound
+// refused. Real recommend bodies are under 100 bytes; the bound
 // keeps an oversized POST from growing a pooled scratch buffer that every
 // later request would carry.
 const maxRequestBody = 64 << 10

@@ -25,7 +25,6 @@ import (
 	"serenade/internal/kvstore"
 	"serenade/internal/metrics"
 	"serenade/internal/obs"
-	"serenade/internal/obs/quality"
 	"serenade/internal/obs/slo"
 	"serenade/internal/sessions"
 	"serenade/internal/trending"
@@ -138,16 +137,6 @@ type Config struct {
 	// SLOErrorBudget is the fraction of requests allowed to fail (the
 	// -slo-error-budget flag). 0 disables the error-rate objective.
 	SLOErrorBudget float64
-
-	// Quality enables the online recommendation-quality loop: every response
-	// is stamped with a recommendation id and logged as an exposure, POST
-	// /track attributes click/conversion feedback back to it, and the
-	// windowed quality gauges, serenade_quality_* metrics, GET /debug/quality
-	// document and drift detector hang off the attributed stream. Nil
-	// disables the loop (and the /track endpoint). Zero-valued fields take
-	// quality defaults; CatalogSize and K default from the index and the
-	// response slot, Now from Config.Now.
-	Quality *quality.Options
 }
 
 // Server is one stateful recommendation server ("Serenade pod"). It is safe
@@ -187,13 +176,6 @@ type Server struct {
 	// per-request record stays allocation-free.
 	slo          *slo.Engine
 	sloRecommend *slo.Tracker
-	// quality is the online quality tracker (nil unless Config.Quality). Its
-	// three pipeline lines are resolved once at startup so the exposure
-	// record on the hot path takes no lock and no map lookup.
-	quality  *quality.Tracker
-	qlKNN    *quality.Line
-	qlPadded *quality.Line
-	qlDepers *quality.Line
 	// inflight counts requests between entry and span finish — the most
 	// immediate overload signal in the health surface.
 	inflight atomic.Int64
@@ -377,30 +359,6 @@ func NewServer(idx *core.Index, cfg Config) (*Server, error) {
 		// Every slow-query line carries the burn picture it contributed to.
 		s.slowLog.SetBurnState(s.slo.Burning)
 	}
-	if cfg.Quality != nil {
-		q := *cfg.Quality
-		if q.CatalogSize == 0 {
-			q.CatalogSize = idx.NumItems()
-		}
-		if q.K <= 0 {
-			q.K = cfg.Recommendations
-		}
-		if q.Now == nil {
-			q.Now = cfg.Now
-		}
-		s.quality = quality.New(q)
-		s.qlKNN = s.quality.Line("knn")
-		s.qlPadded = s.quality.Line("knn+popular")
-		s.qlDepers = s.quality.Line("depersonalised")
-		if s.slowLog != nil {
-			// ... and the quality-drift verdict, so a slow query during a
-			// quality incident is recognisable as part of one picture.
-			s.slowLog.SetQualityState(func() (bool, string) {
-				st := s.quality.Drift()
-				return st.Drifting, st.Reason
-			})
-		}
-	}
 	if cfg.ResultCacheSize > 0 {
 		s.cache = newResultCache(cfg.ResultCacheSize, cfg.ResultCacheTTL, cfg.Now)
 		s.cacheWin = metrics.NewWindowedCounter(time.Minute, cfg.Now)
@@ -440,9 +398,6 @@ func (s *Server) buildRegistry() {
 			func() float64 { return float64(s.slowLog.SuppressedTotal()) })
 	}
 	s.slo.RegisterMetrics(r)
-	if s.quality != nil {
-		s.quality.RegisterMetrics(r)
-	}
 
 	r.GaugeFunc("serenade_active_sessions", "Evolving sessions currently stored.",
 		func() float64 { return float64(s.store.Len()) })
@@ -528,39 +483,6 @@ func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 // binaries and the load harness).
 func (s *Server) SLO() *slo.Engine { return s.slo }
 
-// Quality exposes the online quality tracker (nil when disabled), for
-// embedding binaries and the load harness.
-func (s *Server) Quality() *quality.Tracker { return s.quality }
-
-// TrackRequest is one click/conversion feedback event for POST /track: the
-// frontend reports which recommended item the user acted on, referencing
-// the recommendation id the response carried.
-type TrackRequest struct {
-	RecommendationID uint64          `json:"recommendation_id"`
-	Item             sessions.ItemID `json:"item_id"`
-	// Event is "click" (default when empty) or "conversion".
-	Event string `json:"event,omitempty"`
-}
-
-// TrackResponse reports how the feedback event was attributed.
-type TrackResponse struct {
-	Outcome  string `json:"outcome"`
-	Rank     int    `json:"rank,omitempty"`
-	Variant  string `json:"variant,omitempty"`
-	Pipeline string `json:"pipeline,omitempty"`
-}
-
-// Track attributes one feedback event to its exposure. It is the code path
-// behind POST /track and is also called directly by the in-process click
-// harness. The boolean result is false when quality telemetry is disabled.
-func (s *Server) Track(req TrackRequest) (TrackResponse, bool) {
-	if s.quality == nil {
-		return TrackResponse{}, false
-	}
-	at := s.quality.Attribute(req.RecommendationID, req.Item, req.Event == "conversion")
-	return TrackResponse{Outcome: at.Outcome, Rank: at.Rank, Variant: at.Variant, Pipeline: at.Pipeline}, true
-}
-
 // Health assembles the replica's overload telemetry snapshot: in-flight
 // requests, cache effectiveness, burn state, and runtime pressure. It is the
 // payload of GET /debug/health and the per-backend sections of the cluster
@@ -581,14 +503,6 @@ func (s *Server) Health() obs.HealthSignal {
 		}
 	}
 	h.BurnRate, h.FastBurn, h.SlowBurn = s.slo.Burning()
-	if s.quality != nil {
-		d := s.quality.Drift()
-		h.QualityDrift = d.Drifting
-		h.QualityDriftReason = d.Reason
-		h.QualityRankTV = d.RankTV
-		h.QualityMRRRatio = d.MRRRatio
-		h.QualityCTR = d.CTR
-	}
 	h.FillRuntime()
 	return h
 }
@@ -656,9 +570,6 @@ type Response struct {
 	// SessionLength is the stored session length after this update
 	// (1 for depersonalised requests).
 	SessionLength int `json:"session_length"`
-	// RecommendationID identifies this exposure for POST /track click
-	// attribution; 0 when quality telemetry is disabled.
-	RecommendationID uint64 `json:"recommendation_id,omitempty"`
 }
 
 // Recommend handles one request end to end: session state update, VMIS-kNN
@@ -718,31 +629,16 @@ func (s *Server) recommend(req Request, sp *obs.Span, sc *reqScratch) (Response,
 		out = out[:s.cfg.Recommendations]
 	}
 	gen := s.active.Load()
-	padApplied := false
 	if len(out) < s.cfg.Recommendations && len(gen.popular) > 0 {
 		padded := s.padWithPopular(out, req.Item, gen.popular)
 		if len(padded) > len(out) {
 			s.padded.Inc()
-			padApplied = true
 		}
 		out = padded
 	}
-	resp := Response{Items: out, SessionLength: len(evolving)}
-	if s.quality != nil {
-		// The exposure pipeline is the path that shaped the list: consent
-		// denial dominates (the whole prediction was depersonalised), then
-		// popularity padding, then the plain kNN path.
-		ln := s.qlKNN
-		if !req.Consent {
-			ln = s.qlDepers
-		} else if padApplied {
-			ln = s.qlPadded
-		}
-		resp.RecommendationID = s.quality.RecordExposure(ln, out, evolving, sp.RequestID)
-	}
 	sp.Cut(obs.StageFilter)
 
-	return resp, nil
+	return Response{Items: out, SessionLength: len(evolving)}, nil
 }
 
 // predict computes the raw (uncut, pre-business-rules) prediction into
@@ -960,12 +856,8 @@ func (s *Server) SessionState(key string) ([]sessions.ItemID, bool) {
 }
 
 // SweepSessions evicts expired session state, mirroring the 30-minute
-// RocksDB TTL; serving machines call it periodically. Elapsed attribution
-// windows (exposures finalising as non-clicks) ride along.
+// RocksDB TTL; serving machines call it periodically.
 func (s *Server) SweepSessions() int {
-	if s.quality != nil {
-		s.quality.Sweep()
-	}
 	return s.store.Sweep()
 }
 

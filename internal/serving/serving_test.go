@@ -15,7 +15,6 @@ import (
 
 	"serenade/internal/core"
 	"serenade/internal/index"
-	"serenade/internal/obs/quality"
 	"serenade/internal/sessions"
 	"serenade/internal/synth"
 	"serenade/internal/trending"
@@ -562,27 +561,25 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 }
 
-// TestHTTPOversizedBody pins the request-body bound: a 1 MiB POST to either
+// TestHTTPOversizedBody pins the request-body bound: a 1 MiB POST to the
 // body-reading endpoint is refused with 413 and counted as a bad request,
 // the next normal request is served, and no pooled scratch keeps a body
 // buffer larger than the bound.
 func TestHTTPOversizedBody(t *testing.T) {
-	s := testServer(t, Config{Quality: &quality.Options{Variant: "a"}})
+	s := testServer(t, Config{})
 	h := s.Handler()
 	huge := bytes.Repeat([]byte(" "), 1<<20)
-	for _, path := range []string{"/v1/recommend", "/track"} {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("POST", path, bytes.NewReader(huge)))
-		if rec.Code != http.StatusRequestEntityTooLarge {
-			t.Errorf("%s: 1 MiB body got status %d, want 413", path, rec.Code)
-		}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/recommend", bytes.NewReader(huge)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("1 MiB body got status %d, want 413", rec.Code)
 	}
-	if got := s.errInput.Value(); got != 2 {
-		t.Errorf("bad_request count = %d, want 2", got)
+	if got := s.errInput.Value(); got != 1 {
+		t.Errorf("bad_request count = %d, want 1", got)
 	}
 
 	body, _ := json.Marshal(Request{SessionKey: "u1", Item: popularItem(), Consent: true})
-	rec := httptest.NewRecorder()
+	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/recommend", bytes.NewReader(body)))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("normal request after oversized ones got status %d", rec.Code)
@@ -767,49 +764,6 @@ func TestTrendingEndpoint(t *testing.T) {
 	defer ts2.Close()
 	if r, _ := http.Get(ts2.URL + "/v1/trending"); r.StatusCode != http.StatusNotFound {
 		t.Errorf("disabled trending = %d, want 404", r.StatusCode)
-	}
-}
-
-func TestHTTPAdminReload(t *testing.T) {
-	s := testServer(t, Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	// Ship a fresh (smaller) index build to disk and reload it.
-	ds, _ := synth.Generate(synth.Small(222))
-	ds = sessions.FromSessions("fresh", ds.Sessions[:500])
-	newIdx, err := core.BuildIndex(ds, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "fresh.srn")
-	if err := index.SaveFile(path, newIdx); err != nil {
-		t.Fatal(err)
-	}
-
-	body, _ := json.Marshal(map[string]string{"path": path})
-	resp, err := http.Post(ts.URL+"/admin/reload", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("reload status = %d, want 200", resp.StatusCode)
-	}
-	if got := s.Stats().IndexSessions; got != 500 {
-		t.Errorf("index sessions after reload = %d, want 500", got)
-	}
-
-	// Bad requests.
-	for _, bodyStr := range []string{"", "{}", `{"path":"/does/not/exist"}`} {
-		resp, err := http.Post(ts.URL+"/admin/reload", "application/json", bytes.NewReader([]byte(bodyStr)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			t.Errorf("reload with body %q succeeded", bodyStr)
-		}
 	}
 }
 

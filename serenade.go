@@ -29,7 +29,6 @@ import (
 	"serenade/internal/kvstore"
 	"serenade/internal/legacy"
 	"serenade/internal/metrics"
-	"serenade/internal/obs/quality"
 	"serenade/internal/serving"
 	"serenade/internal/sessions"
 	"serenade/internal/synth"
@@ -88,27 +87,6 @@ type (
 	// write-ahead log (ServerConfig.WALSync).
 	WALSyncPolicy = kvstore.SyncPolicy
 )
-
-// Recommendation-quality telemetry types (ServerConfig.Quality): click
-// attribution, per-variant windowed quality gauges and drift detection
-// against an offline baseline. See DESIGN.md §13.
-type (
-	// QualityOptions enables the online quality loop on a Server: responses
-	// carry recommendation ids, POST /track attributes feedback, and
-	// GET /debug/quality exposes the windowed gauges.
-	QualityOptions = quality.Options
-	// QualityBaseline is the offline reference snapshot the drift detector
-	// compares the online stream against (serenade-eval -quality-baseline).
-	QualityBaseline = quality.Baseline
-	// QualityDriftThresholds tune the drift detector.
-	QualityDriftThresholds = quality.DriftThresholds
-)
-
-// LoadQualityBaseline reads a baseline written by serenade-eval
-// -quality-baseline.
-func LoadQualityBaseline(path string) (*QualityBaseline, error) {
-	return quality.LoadBaseline(path)
-}
 
 // WAL sync policies, ordered from most to least durable.
 const (
