@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: verify build vet test race slo-race quality-race bench bench-check kernel-bench index-bench slo-bench quality-bench http-bench fuzz-replay cross-build
+.PHONY: verify build vet test race slo-race quality-race bench bench-check kernel-bench index-bench setup-bench slo-bench quality-bench http-bench fuzz-replay cross-build
 
 verify: build vet test race
 
@@ -54,10 +54,15 @@ bench-check:
 kernel-bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkRecommend|BenchmarkNeighborSessions' -benchmem ./internal/core
 
-# Index build cost and the load cost of the mmap zero-copy loader
-# (EXPERIMENTS E13).
+# Index build cost, the whole offline set-up and the load cost of the mmap
+# zero-copy loader (EXPERIMENTS E13).
 index-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkLoadFile|BenchmarkBuild' -benchmem ./internal/index ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkLoadFile|BenchmarkBuild|BenchmarkSetupPath' -benchmem ./internal/index ./internal/core
+
+# The benchmark harness's set-up in process: generate ecom-60m-sim, hold out
+# the last day, renumber, build the capacity-1000 index.
+setup-bench:
+	$(GO) test -run '^$$' -bench 'BenchmarkSetupPath' -benchmem ./internal/index
 
 # Burn-rate-vs-RPS trajectory from the load harness, committed as the
 # versioned BENCH_slo.json artifact (the BENCHJSON line carries the rows).

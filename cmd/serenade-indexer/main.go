@@ -1,7 +1,7 @@
 // Command serenade-indexer runs the offline index generation job: it reads
-// a click-log CSV, builds the VMIS-kNN session similarity index with the
-// data-parallel batch engine (the paper's daily Spark job), and writes the
-// index file consumed by serenade-server.
+// a click-log CSV, builds the VMIS-kNN session similarity index (the
+// paper's daily Spark job), and writes the index file consumed by
+// serenade-server.
 //
 // Usage:
 //
@@ -14,7 +14,7 @@ import (
 	"log"
 	"time"
 
-	"serenade/internal/dataflow"
+	"serenade/internal/core"
 	"serenade/internal/index"
 	"serenade/internal/obs"
 	"serenade/internal/sessions"
@@ -28,7 +28,6 @@ func main() {
 		data     = flag.String("data", "", "input click-log CSV (required)")
 		out      = flag.String("out", "index.srn", "output index path")
 		capacity = flag.Int("capacity", 1000, "posting-list capacity (max query-time m; 0 = unbounded)")
-		workers  = flag.Int("workers", 0, "parallel build workers (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 	if *data == "" {
@@ -42,7 +41,7 @@ func main() {
 	}
 	fmt.Printf("loaded %s in %v\n", sessions.ComputeStats(ds), phases.Mark("load").Round(time.Millisecond))
 
-	idx, err := index.Build(dataflow.NewEngine(*workers), sessions.Renumber(ds), *capacity)
+	idx, err := core.BuildIndex(sessions.Renumber(ds), *capacity)
 	if err != nil {
 		log.Fatal(err)
 	}

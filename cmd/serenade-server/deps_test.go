@@ -13,7 +13,7 @@ import (
 var serverDeps = map[string]bool{
 	"serenade/cmd/serenade-server": true,
 	"serenade/internal/core":       true,
-	"serenade/internal/dataflow":   true, // the index builder, reached through index
+	"serenade/internal/dataflow":   true, // deprecated handle kept for benchmark/inputs.go
 	"serenade/internal/dheap":      true,
 	"serenade/internal/failpoint":  true,
 	"serenade/internal/fastjson":   true,

@@ -39,7 +39,7 @@ func TestFullPipelineEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	train, test := serenade.Split(loaded, 1)
-	idx, err := serenade.BuildIndexParallel(train, 500, 4)
+	idx, err := serenade.BuildIndex(train, 500)
 	if err != nil {
 		t.Fatal(err)
 	}

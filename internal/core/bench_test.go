@@ -114,8 +114,9 @@ func BenchmarkNeighborSessionsHot(b *testing.B) {
 
 // BenchmarkRecommendHot is the whole kernel in the harness's
 // hot-long-closed shape: every prefix 1–20 of the hot-tail sessions, as a
-// session grows click by click, n = 21 (the server's 2·10+1 over-fetch),
-// M = 500, at K = 100 and at K = 500, the shipped default.
+// session grows click by click, n = 43 (the server's 2·21+1 over-fetch for
+// its 21 recommendations), M = 500, at K = 100 and at K = 500, the shipped
+// default.
 func BenchmarkRecommendHot(b *testing.B) {
 	idx := hotIndex(b)
 	var queries [][]sessions.ItemID
@@ -131,12 +132,12 @@ func BenchmarkRecommendHot(b *testing.B) {
 				b.Fatal(err)
 			}
 			for _, q := range queries[:64] {
-				r.Recommend(q, 21)
+				r.Recommend(q, 43)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r.Recommend(queries[i%len(queries)], 21)
+				r.Recommend(queries[i%len(queries)], 43)
 			}
 		})
 	}

@@ -208,10 +208,10 @@ func BuildIndex(ds *sessions.Dataset, capacity int) (*Index, error) {
 	return idx, nil
 }
 
-// NewIndexFromParts assembles an index from per-list slices (the layout the
-// dataflow build job produces), flattening them into
-// the CSR arena and recomputing the derived inverse document frequencies. It
-// validates the structural invariants that Recommend relies on.
+// NewIndexFromParts assembles an index from per-list slices, flattening
+// them into the CSR arena and recomputing the derived inverse document
+// frequencies. It validates the structural invariants that Recommend
+// relies on.
 func NewIndexFromParts(times []int64, postings [][]sessions.SessionID, sessionItems [][]sessions.ItemID, df []int32, capacity int) (*Index, error) {
 	if len(postings) != len(df) {
 		return nil, fmt.Errorf("core: postings (%d) and document frequencies (%d) disagree on item count", len(postings), len(df))

@@ -1,27 +1,25 @@
-// Package dataflow is a small in-process data-parallel batch engine.
+// Package dataflow is a deprecated handle kept so existing callers of
+// index.Build still compile.
 //
-// It stands in for the Apache Spark pipeline the paper uses for offline
-// index generation (§4.2): data lives in partitioned collections, and the
-// engine executes map / filter / flatMap / groupByKey / reduceByKey stages
-// over the partitions with a bounded worker pool, including the hash
-// shuffle that a groupByKey implies. This is the same relational plan shape
-// the Spark job executes (group clicks by session, re-key by item, sort by
-// recency, truncate), just on one machine.
+// It used to hold an in-process data-parallel engine that emulated the
+// paper's daily Spark job (§4.2) with map / flatMap / groupByKey stages.
+// That plan wrote the same bytes as core.BuildIndex's two-pass scatter at
+// several times its time and memory, so the operators are gone and
+// index.Build ignores the Engine it is given. Do not use it in new code.
 package dataflow
 
-import (
-	"hash/fnv"
-	"runtime"
-	"sync"
-)
+import "runtime"
 
-// Engine executes stages with a bounded number of workers.
+// Engine is a worker count that nothing reads any more.
+//
+// Deprecated: index.Build ignores it; call core.BuildIndex.
 type Engine struct {
 	workers int
 }
 
-// NewEngine returns an engine running at most workers partition tasks
-// concurrently. workers <= 0 selects GOMAXPROCS.
+// NewEngine returns an Engine. workers <= 0 selects GOMAXPROCS.
+//
+// Deprecated: index.Build ignores the Engine; call core.BuildIndex.
 func NewEngine(workers int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -29,262 +27,5 @@ func NewEngine(workers int) *Engine {
 	return &Engine{workers: workers}
 }
 
-// Workers reports the engine's concurrency.
+// Workers reports the worker count the engine was made with.
 func (e *Engine) Workers() int { return e.workers }
-
-// Collection is an immutable partitioned dataset of T.
-type Collection[T any] struct {
-	parts [][]T
-}
-
-// FromSlice partitions xs into parts contiguous partitions.
-func FromSlice[T any](xs []T, parts int) *Collection[T] {
-	if parts < 1 {
-		parts = 1
-	}
-	if parts > len(xs) && len(xs) > 0 {
-		parts = len(xs)
-	}
-	c := &Collection[T]{parts: make([][]T, parts)}
-	if len(xs) == 0 {
-		return c
-	}
-	per := (len(xs) + parts - 1) / parts
-	for i := 0; i < parts; i++ {
-		lo := i * per
-		hi := lo + per
-		if lo > len(xs) {
-			lo = len(xs)
-		}
-		if hi > len(xs) {
-			hi = len(xs)
-		}
-		c.parts[i] = xs[lo:hi]
-	}
-	return c
-}
-
-// Partitions reports the number of partitions.
-func (c *Collection[T]) Partitions() int { return len(c.parts) }
-
-// Len reports the total number of elements.
-func (c *Collection[T]) Len() int {
-	n := 0
-	for _, p := range c.parts {
-		n += len(p)
-	}
-	return n
-}
-
-// Collect gathers all elements into one slice, partition by partition.
-func (c *Collection[T]) Collect() []T {
-	out := make([]T, 0, c.Len())
-	for _, p := range c.parts {
-		out = append(out, p...)
-	}
-	return out
-}
-
-// forEachPartition runs f over partition indices with bounded parallelism.
-func forEachPartition(e *Engine, n int, f func(i int)) {
-	if n == 0 {
-		return
-	}
-	workers := e.workers
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				f(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-}
-
-// Map applies f to every element.
-func Map[T, U any](e *Engine, c *Collection[T], f func(T) U) *Collection[U] {
-	out := &Collection[U]{parts: make([][]U, len(c.parts))}
-	forEachPartition(e, len(c.parts), func(i int) {
-		in := c.parts[i]
-		dst := make([]U, len(in))
-		for j, x := range in {
-			dst[j] = f(x)
-		}
-		out.parts[i] = dst
-	})
-	return out
-}
-
-// Filter retains elements for which keep reports true.
-func Filter[T any](e *Engine, c *Collection[T], keep func(T) bool) *Collection[T] {
-	out := &Collection[T]{parts: make([][]T, len(c.parts))}
-	forEachPartition(e, len(c.parts), func(i int) {
-		var dst []T
-		for _, x := range c.parts[i] {
-			if keep(x) {
-				dst = append(dst, x)
-			}
-		}
-		out.parts[i] = dst
-	})
-	return out
-}
-
-// FlatMap applies f to every element and concatenates the results.
-func FlatMap[T, U any](e *Engine, c *Collection[T], f func(T) []U) *Collection[U] {
-	out := &Collection[U]{parts: make([][]U, len(c.parts))}
-	forEachPartition(e, len(c.parts), func(i int) {
-		var dst []U
-		for _, x := range c.parts[i] {
-			dst = append(dst, f(x)...)
-		}
-		out.parts[i] = dst
-	})
-	return out
-}
-
-// Pair is a keyed element for shuffles.
-type Pair[K comparable, V any] struct {
-	Key   K
-	Value V
-}
-
-// KeyBy turns a collection into a keyed collection.
-func KeyBy[T any, K comparable](e *Engine, c *Collection[T], key func(T) K) *Collection[Pair[K, T]] {
-	return Map(e, c, func(x T) Pair[K, T] { return Pair[K, T]{Key: key(x), Value: x} })
-}
-
-// hashKey hashes an arbitrary comparable key for the shuffle using its
-// formatted representation; integer keys take a fast path.
-func hashPartition[K comparable](k K, parts int, hasher func(K) uint64) int {
-	return int(hasher(k) % uint64(parts))
-}
-
-// GroupByKey shuffles a keyed collection and groups the values per key.
-// The hasher maps keys to shuffle buckets; use IntHasher or StringHasher.
-// The output has outParts partitions (0 means: keep input partition count).
-func GroupByKey[K comparable, V any](e *Engine, c *Collection[Pair[K, V]], outParts int, hasher func(K) uint64) *Collection[Pair[K, []V]] {
-	if outParts <= 0 {
-		outParts = len(c.parts)
-		if outParts == 0 {
-			outParts = 1
-		}
-	}
-	// Map side: each input partition buckets its pairs per output partition.
-	buckets := make([][]map[K][]V, len(c.parts)) // [inPart][outPart]
-	forEachPartition(e, len(c.parts), func(i int) {
-		local := make([]map[K][]V, outParts)
-		for _, p := range c.parts[i] {
-			b := hashPartition(p.Key, outParts, hasher)
-			if local[b] == nil {
-				local[b] = make(map[K][]V)
-			}
-			local[b][p.Key] = append(local[b][p.Key], p.Value)
-		}
-		buckets[i] = local
-	})
-	// Reduce side: each output partition merges its buckets from every
-	// input partition, preserving input-partition order per key.
-	out := &Collection[Pair[K, []V]]{parts: make([][]Pair[K, []V], outParts)}
-	forEachPartition(e, outParts, func(o int) {
-		merged := make(map[K][]V)
-		for i := range buckets {
-			if buckets[i] == nil || buckets[i][o] == nil {
-				continue
-			}
-			for k, vs := range buckets[i][o] {
-				merged[k] = append(merged[k], vs...)
-			}
-		}
-		dst := make([]Pair[K, []V], 0, len(merged))
-		for k, vs := range merged {
-			dst = append(dst, Pair[K, []V]{Key: k, Value: vs})
-		}
-		out.parts[o] = dst
-	})
-	return out
-}
-
-// ReduceByKey shuffles a keyed collection and folds values per key with the
-// associative, commutative reduce function, applying map-side combining
-// before the shuffle (Spark's combiner optimisation).
-func ReduceByKey[K comparable, V any](e *Engine, c *Collection[Pair[K, V]], outParts int, hasher func(K) uint64, reduce func(a, b V) V) *Collection[Pair[K, V]] {
-	if outParts <= 0 {
-		outParts = len(c.parts)
-		if outParts == 0 {
-			outParts = 1
-		}
-	}
-	combined := make([][]map[K]V, len(c.parts))
-	forEachPartition(e, len(c.parts), func(i int) {
-		local := make([]map[K]V, outParts)
-		for _, p := range c.parts[i] {
-			b := hashPartition(p.Key, outParts, hasher)
-			if local[b] == nil {
-				local[b] = make(map[K]V)
-			}
-			if cur, ok := local[b][p.Key]; ok {
-				local[b][p.Key] = reduce(cur, p.Value)
-			} else {
-				local[b][p.Key] = p.Value
-			}
-		}
-		combined[i] = local
-	})
-	out := &Collection[Pair[K, V]]{parts: make([][]Pair[K, V], outParts)}
-	forEachPartition(e, outParts, func(o int) {
-		merged := make(map[K]V)
-		for i := range combined {
-			if combined[i] == nil || combined[i][o] == nil {
-				continue
-			}
-			for k, v := range combined[i][o] {
-				if cur, ok := merged[k]; ok {
-					merged[k] = reduce(cur, v)
-				} else {
-					merged[k] = v
-				}
-			}
-		}
-		dst := make([]Pair[K, V], 0, len(merged))
-		for k, v := range merged {
-			dst = append(dst, Pair[K, V]{Key: k, Value: v})
-		}
-		out.parts[o] = dst
-	})
-	return out
-}
-
-// MapPartitions applies f to whole partitions, for stages that need
-// partition-local state (e.g. sorting within a partition).
-func MapPartitions[T, U any](e *Engine, c *Collection[T], f func([]T) []U) *Collection[U] {
-	out := &Collection[U]{parts: make([][]U, len(c.parts))}
-	forEachPartition(e, len(c.parts), func(i int) {
-		out.parts[i] = f(c.parts[i])
-	})
-	return out
-}
-
-// IntHasher hashes integer-like keys.
-func IntHasher[K ~int | ~int32 | ~int64 | ~uint | ~uint32 | ~uint64](k K) uint64 {
-	// Fibonacci hashing spreads sequential ids across buckets.
-	return uint64(k) * 0x9E3779B97F4A7C15
-}
-
-// StringHasher hashes string keys with FNV-1a.
-func StringHasher(k string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(k))
-	return h.Sum64()
-}

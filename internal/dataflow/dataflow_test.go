@@ -1,181 +1,6 @@
 package dataflow
 
-import (
-	"sort"
-	"testing"
-	"testing/quick"
-)
-
-func rangeInts(n int) []int {
-	xs := make([]int, n)
-	for i := range xs {
-		xs[i] = i
-	}
-	return xs
-}
-
-func TestFromSlicePartitioning(t *testing.T) {
-	c := FromSlice(rangeInts(10), 3)
-	if c.Partitions() != 3 {
-		t.Fatalf("Partitions = %d, want 3", c.Partitions())
-	}
-	if c.Len() != 10 {
-		t.Fatalf("Len = %d, want 10", c.Len())
-	}
-	got := c.Collect()
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("Collect[%d] = %d, want %d (order preserved)", i, v, i)
-		}
-	}
-}
-
-func TestFromSliceEdgeCases(t *testing.T) {
-	if c := FromSlice([]int{}, 4); c.Len() != 0 {
-		t.Error("empty slice should give empty collection")
-	}
-	if c := FromSlice(rangeInts(2), 10); c.Partitions() != 2 {
-		t.Errorf("partitions capped at element count, got %d", c.Partitions())
-	}
-	if c := FromSlice(rangeInts(5), 0); c.Partitions() != 1 {
-		t.Errorf("parts<1 should clamp to 1, got %d", c.Partitions())
-	}
-}
-
-func TestMap(t *testing.T) {
-	e := NewEngine(4)
-	c := FromSlice(rangeInts(100), 7)
-	doubled := Map(e, c, func(x int) int { return 2 * x })
-	got := doubled.Collect()
-	for i, v := range got {
-		if v != 2*i {
-			t.Fatalf("Map[%d] = %d, want %d", i, v, 2*i)
-		}
-	}
-}
-
-func TestFilter(t *testing.T) {
-	e := NewEngine(4)
-	c := FromSlice(rangeInts(100), 5)
-	even := Filter(e, c, func(x int) bool { return x%2 == 0 })
-	if even.Len() != 50 {
-		t.Fatalf("Len = %d, want 50", even.Len())
-	}
-	for _, v := range even.Collect() {
-		if v%2 != 0 {
-			t.Fatalf("odd element %d survived filter", v)
-		}
-	}
-}
-
-func TestFlatMap(t *testing.T) {
-	e := NewEngine(2)
-	c := FromSlice([]int{1, 2, 3}, 2)
-	out := FlatMap(e, c, func(x int) []int {
-		xs := make([]int, x)
-		for i := range xs {
-			xs[i] = x
-		}
-		return xs
-	})
-	if out.Len() != 6 {
-		t.Fatalf("Len = %d, want 6", out.Len())
-	}
-}
-
-func TestGroupByKey(t *testing.T) {
-	e := NewEngine(4)
-	xs := rangeInts(1000)
-	keyed := KeyBy(e, FromSlice(xs, 8), func(x int) int { return x % 10 })
-	grouped := GroupByKey(e, keyed, 4, IntHasher[int])
-	groups := grouped.Collect()
-	if len(groups) != 10 {
-		t.Fatalf("groups = %d, want 10", len(groups))
-	}
-	for _, g := range groups {
-		if len(g.Value) != 100 {
-			t.Fatalf("group %d size = %d, want 100", g.Key, len(g.Value))
-		}
-		// values arrive in input order per key within each partition,
-		// and partitions are merged in order, so the whole group is sorted.
-		if !sort.IntsAreSorted(g.Value) {
-			t.Errorf("group %d not in input order: %v...", g.Key, g.Value[:5])
-		}
-		for _, v := range g.Value {
-			if v%10 != g.Key {
-				t.Fatalf("value %d in wrong group %d", v, g.Key)
-			}
-		}
-	}
-}
-
-func TestGroupByKeyDefaultsOutParts(t *testing.T) {
-	e := NewEngine(2)
-	keyed := KeyBy(e, FromSlice(rangeInts(10), 3), func(x int) int { return x % 2 })
-	grouped := GroupByKey(e, keyed, 0, IntHasher[int])
-	if grouped.Partitions() != 3 {
-		t.Errorf("default outParts = %d, want input partitions 3", grouped.Partitions())
-	}
-}
-
-func TestGroupByKeyEmpty(t *testing.T) {
-	e := NewEngine(2)
-	keyed := FromSlice([]Pair[int, int]{}, 1)
-	grouped := GroupByKey(e, keyed, 0, IntHasher[int])
-	if grouped.Len() != 0 {
-		t.Errorf("group of empty = %d elements", grouped.Len())
-	}
-}
-
-func TestReduceByKey(t *testing.T) {
-	e := NewEngine(4)
-	xs := rangeInts(100)
-	keyed := KeyBy(e, FromSlice(xs, 8), func(x int) int { return x % 5 })
-	counts := ReduceByKey(e, Map(e, keyed, func(p Pair[int, int]) Pair[int, int] {
-		return Pair[int, int]{Key: p.Key, Value: 1}
-	}), 2, IntHasher[int], func(a, b int) int { return a + b })
-	got := map[int]int{}
-	for _, p := range counts.Collect() {
-		got[p.Key] = p.Value
-	}
-	if len(got) != 5 {
-		t.Fatalf("keys = %d, want 5", len(got))
-	}
-	for k, v := range got {
-		if v != 20 {
-			t.Errorf("count[%d] = %d, want 20", k, v)
-		}
-	}
-}
-
-func TestMapPartitions(t *testing.T) {
-	e := NewEngine(3)
-	c := FromSlice(rangeInts(9), 3)
-	sums := MapPartitions(e, c, func(part []int) []int {
-		s := 0
-		for _, v := range part {
-			s += v
-		}
-		return []int{s}
-	})
-	total := 0
-	for _, v := range sums.Collect() {
-		total += v
-	}
-	if total != 36 {
-		t.Errorf("total = %d, want 36", total)
-	}
-}
-
-func TestStringHasherSpreads(t *testing.T) {
-	seen := map[uint64]bool{}
-	for _, s := range []string{"a", "b", "c", "d"} {
-		seen[StringHasher(s)] = true
-	}
-	if len(seen) < 3 {
-		t.Error("string hasher collides excessively on tiny inputs")
-	}
-}
+import "testing"
 
 func TestNewEngineDefaults(t *testing.T) {
 	if NewEngine(0).Workers() < 1 {
@@ -183,88 +8,5 @@ func TestNewEngineDefaults(t *testing.T) {
 	}
 	if NewEngine(3).Workers() != 3 {
 		t.Error("explicit worker count not respected")
-	}
-}
-
-// TestPropertyWordCountEquivalence: reduceByKey over any input matches a
-// sequential fold, for any partitioning and worker count.
-func TestPropertyWordCountEquivalence(t *testing.T) {
-	prop := func(raw []uint8, parts, workers uint8) bool {
-		e := NewEngine(int(workers%8) + 1)
-		xs := make([]int, len(raw))
-		want := map[int]int{}
-		for i, v := range raw {
-			xs[i] = int(v % 13)
-			want[xs[i]]++
-		}
-		keyed := KeyBy(e, FromSlice(xs, int(parts%6)+1), func(x int) int { return x })
-		ones := Map(e, keyed, func(p Pair[int, int]) Pair[int, int] {
-			return Pair[int, int]{Key: p.Key, Value: 1}
-		})
-		counts := ReduceByKey(e, ones, int(parts%4)+1, IntHasher[int], func(a, b int) int { return a + b })
-		got := map[int]int{}
-		for _, p := range counts.Collect() {
-			got[p.Key] = p.Value
-		}
-		if len(got) != len(want) {
-			return false
-		}
-		for k, v := range want {
-			if got[k] != v {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestPropertyGroupPreservesMultiset: grouping preserves the value multiset.
-func TestPropertyGroupPreservesMultiset(t *testing.T) {
-	prop := func(raw []uint16, parts uint8) bool {
-		e := NewEngine(4)
-		pairs := make([]Pair[int, int], len(raw))
-		want := map[int]int{}
-		for i, v := range raw {
-			pairs[i] = Pair[int, int]{Key: int(v % 7), Value: int(v)}
-			want[int(v)]++
-		}
-		grouped := GroupByKey(e, FromSlice(pairs, int(parts%5)+1), int(parts%3)+1, IntHasher[int])
-		got := map[int]int{}
-		n := 0
-		for _, g := range grouped.Collect() {
-			for _, v := range g.Value {
-				got[v]++
-				n++
-			}
-		}
-		if n != len(raw) {
-			return false
-		}
-		for k, v := range want {
-			if got[k] != v {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func BenchmarkGroupByKey(b *testing.B) {
-	e := NewEngine(0)
-	pairs := make([]Pair[int, int], 100000)
-	for i := range pairs {
-		pairs[i] = Pair[int, int]{Key: i % 1000, Value: i}
-	}
-	c := FromSlice(pairs, 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		GroupByKey(e, c, 8, IntHasher[int])
 	}
 }

@@ -62,26 +62,6 @@ func indexesEqual(t *testing.T, a, b *core.Index) {
 	}
 }
 
-// TestParallelBuildMatchesSequential: the dataflow build must be
-// bit-identical to core.BuildIndex, for several capacities and worker
-// counts.
-func TestParallelBuildMatchesSequential(t *testing.T) {
-	ds := smallDataset(t, 21)
-	for _, capacity := range []int{0, 3, 100} {
-		seq, err := core.BuildIndex(ds, capacity)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 4} {
-			par, err := Build(dataflow.NewEngine(workers), ds, capacity)
-			if err != nil {
-				t.Fatal(err)
-			}
-			indexesEqual(t, seq, par)
-		}
-	}
-}
-
 func TestParallelBuildEmptyDataset(t *testing.T) {
 	empty := sessions.FromSessions("empty", nil)
 	idx, err := Build(dataflow.NewEngine(4), empty, 100)
@@ -279,16 +259,23 @@ func TestV1ForgedCountsDoNotOverAllocate(t *testing.T) {
 	}
 }
 
-func BenchmarkBuildParallel(b *testing.B) {
-	ds, err := synth.Generate(synth.Small(1))
+// BenchmarkSetupPath is the benchmark harness's set-up, end to end and in
+// process: generate ecom-60m-sim, hold out the last day, renumber the
+// training days and build the capacity-1000 index.
+func BenchmarkSetupPath(b *testing.B) {
+	cfg, err := synth.Profile("ecom-60m-sim")
 	if err != nil {
 		b.Fatal(err)
 	}
-	e := dataflow.NewEngine(0)
+	cfg.Seed = 1
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Build(e, ds, 500); err != nil {
+		full, err := synth.Generate(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		split := sessions.TemporalSplit(full, 1)
+		if _, err := Build(dataflow.NewEngine(0), sessions.Renumber(split.Train), 1000); err != nil {
 			b.Fatal(err)
 		}
 	}

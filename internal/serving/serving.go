@@ -13,10 +13,11 @@
 package serving
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"log/slog"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -287,11 +288,11 @@ func popularItems(idx *core.Index) []core.ScoredItem {
 			out = append(out, core.ScoredItem{Item: item, Score: float64(df)})
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Score != out[b].Score {
-			return out[a].Score > out[b].Score
+	slices.SortFunc(out, func(a, b core.ScoredItem) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		return out[a].Item < out[b].Item
+		return cmp.Compare(a.Item, b.Item)
 	})
 	const maxFallback = 512
 	if len(out) > maxFallback {

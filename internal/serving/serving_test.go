@@ -856,3 +856,48 @@ func TestStatsMemoryAccounting(t *testing.T) {
 		t.Errorf("RecommenderBytes shrank after a request: %d -> %d", st.RecommenderBytes, got)
 	}
 }
+
+// TestPopularItemsOrder pins the popularity fallback on an index full of
+// document-frequency ties: most sessions first, ties toward the smaller
+// item id, items in no session left out, cut at 512.
+func TestPopularItemsOrder(t *testing.T) {
+	const numItems = 700
+	df := func(i int) int {
+		if i%5 == 0 {
+			return 0
+		}
+		return 1 + i*7%4
+	}
+	ss := make([]sessions.Session, 4)
+	for k := range ss {
+		ss[k] = sessions.Session{ID: sessions.SessionID(k)}
+		for i := 0; i < numItems; i++ {
+			if k < df(i) {
+				ss[k].Items = append(ss[k].Items, sessions.ItemID(i))
+				ss[k].Times = append(ss[k].Times, int64(100+k))
+			}
+		}
+	}
+	idx, err := core.BuildIndex(sessions.FromSessions("ties", ss), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []core.ScoredItem
+	for f := 4; f >= 1; f-- {
+		for i := 0; i < numItems; i++ {
+			if df(i) == f {
+				want = append(want, core.ScoredItem{Item: sessions.ItemID(i), Score: float64(f)})
+			}
+		}
+	}
+	want = want[:512]
+	got := popularItems(idx)
+	if len(got) != len(want) {
+		t.Fatalf("%d popular items, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("rank %d: %v, want %v (df desc, item asc)", i, got[i], want[i])
+		}
+	}
+}

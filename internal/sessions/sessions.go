@@ -10,7 +10,9 @@
 package sessions
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -159,57 +161,115 @@ func TemporalSplit(ds *Dataset, testDays int) Split {
 	}
 	cutoff := maxTime - int64(testDays)*24*3600
 
-	var train, test []Session
-	trainItems := make(map[ItemID]struct{})
+	nTrain := 0
+	for i := range ds.Sessions {
+		if ds.Sessions[i].Time() <= cutoff {
+			nTrain++
+		}
+	}
+	train := make([]Session, 0, nTrain)
+	test := make([]Session, 0, len(ds.Sessions)-nTrain)
+	inTrain := make([]bool, ds.NumItems)
+	testClicks := 0
 	for i := range ds.Sessions {
 		s := ds.Sessions[i]
 		if s.Time() > cutoff {
 			test = append(test, s)
+			testClicks += len(s.Items)
 			continue
 		}
 		train = append(train, s)
 		for _, it := range s.Items {
-			trainItems[it] = struct{}{}
+			inTrain[it] = true
 		}
 	}
 
+	// The kept test clicks go to two arenas, each session a capped
+	// sub-slice of them.
+	items := make([]ItemID, 0, testClicks)
+	times := make([]int64, 0, testClicks)
 	filtered := test[:0]
 	for _, s := range test {
-		keepItems := s.Items[:0:0]
-		keepTimes := s.Times[:0:0]
+		n := len(items)
 		for j, it := range s.Items {
-			if _, ok := trainItems[it]; ok {
-				keepItems = append(keepItems, it)
-				keepTimes = append(keepTimes, s.Times[j])
+			if inTrain[it] {
+				items = append(items, it)
+				times = append(times, s.Times[j])
 			}
 		}
-		if len(keepItems) >= 2 {
-			filtered = append(filtered, Session{ID: s.ID, Items: keepItems, Times: keepTimes})
+		if len(items)-n < 2 {
+			items, times = items[:n], times[:n]
+			continue
 		}
+		filtered = append(filtered, Session{ID: s.ID, Items: items[n:len(items):len(items)], Times: times[n:len(times):len(times)]})
 	}
+	// The test split keeps test's array; drop the entries past filtered,
+	// which still point into ds's click storage.
+	clear(test[len(filtered):])
 	return Split{
 		Train: FromSessions(ds.Name+"-train", train),
 		Test:  FromSessions(ds.Name+"-test", filtered),
 	}
 }
 
-// Renumber returns a copy of the dataset whose session ids are consecutive
-// integers starting at 0 in ascending session-timestamp order. The VMIS-kNN
-// index requires dense session ids for its timestamp array t.
+// Renumber returns the dataset with session ids renumbered to consecutive
+// integers from 0 in ascending session-timestamp order, ties in input
+// order, and the click log listed session by session in that order. The
+// VMIS-kNN index requires dense session ids for its timestamp array t.
+//
+// A dataset that already has that form, such as Generate's output and the
+// train split TemporalSplit takes from it, comes back as a new header over
+// the same sessions and click log; nothing is copied.
 func Renumber(ds *Dataset) *Dataset {
-	order := make([]int, len(ds.Sessions))
-	for i := range order {
-		order[i] = i
+	if isRenumbered(ds) {
+		out := *ds
+		return &out
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return ds.Sessions[order[a]].Time() < ds.Sessions[order[b]].Time()
+	return RenumberSessions(ds.Name, ds.Sessions)
+}
+
+// RenumberSessions is FromSessions over ss renumbered as Renumber does.
+// The returned sessions share their Items and Times with ss.
+func RenumberSessions(name string, ss []Session) *Dataset {
+	type key struct {
+		time int64
+		pos  int
+	}
+	keys := make([]key, len(ss))
+	for i := range ss {
+		keys[i] = key{ss[i].Time(), i}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if c := cmp.Compare(a.time, b.time); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
 	})
-	out := make([]Session, len(order))
-	for newID, idx := range order {
-		s := ds.Sessions[idx]
+	out := make([]Session, len(keys))
+	for newID, k := range keys {
+		s := &ss[k.pos]
 		out[newID] = Session{ID: SessionID(newID), Items: s.Items, Times: s.Times}
 	}
-	return FromSessions(ds.Name, out)
+	return FromSessions(name, out)
+}
+
+// isRenumbered reports whether Renumber would return ds unchanged: ids
+// dense and in time order, and the click log in session order.
+func isRenumbered(ds *Dataset) bool {
+	c := 0
+	for i := range ds.Sessions {
+		s := &ds.Sessions[i]
+		if s.ID != SessionID(i) || (i > 0 && s.Time() < ds.Sessions[i-1].Time()) {
+			return false
+		}
+		for j, it := range s.Items {
+			if c >= len(ds.Clicks) || ds.Clicks[c] != (Click{Session: s.ID, Item: it, Time: s.Times[j]}) {
+				return false
+			}
+			c++
+		}
+	}
+	return c == len(ds.Clicks)
 }
 
 // Stats summarises a dataset in the shape of Table 1 of the paper.

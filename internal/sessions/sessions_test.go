@@ -130,6 +130,47 @@ func TestRenumberOrdersByTime(t *testing.T) {
 	}
 }
 
+// TestRenumberReusesRenumbered: a dataset already in Renumber's form comes
+// back over the same click log, while one whose log interleaves sessions
+// gets the log listed session by session, as FromSessions derives it.
+func TestRenumberReusesRenumbered(t *testing.T) {
+	ordered := FromSessions("o", []Session{
+		{ID: 0, Items: []ItemID{1, 2}, Times: []int64{10, 20}},
+		{ID: 1, Items: []ItemID{3}, Times: []int64{30}},
+	})
+	rn := Renumber(ordered)
+	if &rn.Clicks[0] != &ordered.Clicks[0] || !reflect.DeepEqual(rn, ordered) {
+		t.Errorf("renumbered dataset was copied or changed: %+v", rn)
+	}
+
+	interleaved := Group("i", []Click{click(0, 1, 10), click(1, 3, 15), click(0, 2, 20), click(1, 4, 25)})
+	rn = Renumber(interleaved)
+	want := FromSessions("i", interleaved.Sessions)
+	if !reflect.DeepEqual(rn.Clicks, want.Clicks) || !reflect.DeepEqual(rn.Sessions, want.Sessions) {
+		t.Errorf("interleaved log: got %+v, want %+v", rn.Clicks, want.Clicks)
+	}
+}
+
+// TestTemporalSplitTestSessionsCapped: test sessions share one arena, so
+// appending to one must not write into the next.
+func TestTemporalSplitTestSessionsCapped(t *testing.T) {
+	day := int64(24 * 3600)
+	ds := Group("t", []Click{
+		click(1, 1, day), click(1, 2, day+10),
+		click(2, 1, 9*day), click(2, 2, 9*day+10),
+		click(3, 2, 9*day+20), click(3, 1, 9*day+30),
+	})
+	test := TemporalSplit(ds, 1).Test.Sessions
+	if len(test) != 2 {
+		t.Fatalf("test sessions = %d, want 2", len(test))
+	}
+	_ = append(test[0].Items, 7)
+	_ = append(test[0].Times, 7)
+	if !reflect.DeepEqual(test[1].Items, []ItemID{2, 1}) || !reflect.DeepEqual(test[1].Times, []int64{9*day + 20, 9*day + 30}) {
+		t.Errorf("append to one test session changed the next: %+v", test[1])
+	}
+}
+
 func TestComputeStats(t *testing.T) {
 	day := int64(24 * 3600)
 	var clicks []Click

@@ -110,9 +110,17 @@ func Generate(c Config) (*sessions.Dataset, error) {
 	}
 
 	sessionsOut := make([]sessions.Session, 0, c.NumSessions)
+	// Sessions take capped sub-slices of two shared arenas, a fresh chunk
+	// each time the current one cannot hold the next session.
+	var itemArena []sessions.ItemID
+	var timeArena []int64
 	daySeconds := int64(24 * 3600)
 	for sid := 0; sid < c.NumSessions; sid++ {
 		length := sampleLength(rng, c)
+		if cap(itemArena)-len(itemArena) < length {
+			itemArena = make([]sessions.ItemID, 0, max(arenaChunk, length))
+			timeArena = make([]int64, 0, max(arenaChunk, length))
+		}
 		day := int64(sid % c.Days) // spread sessions evenly over days
 		// Diurnal curve: most traffic in the evening. Mixture of a broad
 		// daytime component and an evening peak.
@@ -125,8 +133,9 @@ func Generate(c Config) (*sessions.Dataset, error) {
 		t := baseTime + day*daySeconds + secOfDay
 
 		cluster := int(clusterZipf.Uint64())
-		items := make([]sessions.ItemID, 0, length)
-		times := make([]int64, 0, length)
+		n := len(itemArena)
+		items := itemArena[n : n : n+length]
+		times := timeArena[n : n : n+length]
 		for j := 0; j < length; j++ {
 			if j > 0 {
 				t += 10 + int64(rng.ExpFloat64()*40) // dwell time
@@ -154,6 +163,8 @@ func Generate(c Config) (*sessions.Dataset, error) {
 			items = append(items, sessions.ItemID(clusterOf[cluster]+local))
 			times = append(times, t)
 		}
+		itemArena = itemArena[:n+length]
+		timeArena = timeArena[:n+length]
 		sessionsOut = append(sessionsOut, sessions.Session{
 			ID:    sessions.SessionID(sid),
 			Items: items,
@@ -162,8 +173,11 @@ func Generate(c Config) (*sessions.Dataset, error) {
 	}
 	// Renumber so session ids ascend with session time, which the VMIS-kNN
 	// index requires.
-	return sessions.Renumber(sessions.FromSessions(c.Name, sessionsOut)), nil
+	return sessions.RenumberSessions(c.Name, sessionsOut), nil
 }
+
+// arenaChunk is the click capacity of one of Generate's session arenas.
+const arenaChunk = 1 << 16
 
 func sampleLength(rng *rand.Rand, c Config) int {
 	l := int(math.Round(math.Exp(rng.NormFloat64()*c.LengthSigma + c.LengthMu)))

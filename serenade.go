@@ -17,13 +17,11 @@ package serenade
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"serenade/internal/cluster"
 	"serenade/internal/compressed"
 	"serenade/internal/core"
-	"serenade/internal/dataflow"
 	"serenade/internal/incremental"
 	"serenade/internal/index"
 	"serenade/internal/kvstore"
@@ -144,16 +142,6 @@ func Split(ds *Dataset, testDays int) (train, test *Dataset) {
 // M; capacity <= 0 keeps complete lists.
 func BuildIndex(ds *Dataset, capacity int) (*Index, error) {
 	return core.BuildIndex(sessions.Renumber(ds), capacity)
-}
-
-// BuildIndexParallel builds the index with the data-parallel batch engine
-// (the in-process equivalent of the paper's daily Spark job). workers <= 0
-// selects GOMAXPROCS.
-func BuildIndexParallel(ds *Dataset, capacity, workers int) (*Index, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return index.Build(dataflow.NewEngine(workers), sessions.Renumber(ds), capacity)
 }
 
 // SaveIndex writes the index to path in the mmap-able CSR section format

@@ -47,24 +47,6 @@ func TestEndToEndPublicAPI(t *testing.T) {
 	}
 }
 
-func TestParallelBuildEqualsSequential(t *testing.T) {
-	ds := smallDataset(t)
-	a, err := serenade.BuildIndex(ds, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := serenade.BuildIndexParallel(ds, 100, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra, _ := serenade.New(a, serenade.Params{M: 100, K: 20})
-	rb, _ := serenade.New(b, serenade.Params{M: 100, K: 20})
-	q := []serenade.ItemID{1, 2, 3}
-	if !reflect.DeepEqual(ra.Recommend(q, 10), rb.Recommend(q, 10)) {
-		t.Error("parallel and sequential index builds disagree")
-	}
-}
-
 func TestIndexAndCSVPersistence(t *testing.T) {
 	dir := t.TempDir()
 	ds := smallDataset(t)
