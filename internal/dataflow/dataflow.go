@@ -1,16 +1,11 @@
-// Package dataflow is a deprecated handle kept so existing callers of
-// index.Build still compile.
-//
-// It used to hold an in-process data-parallel engine that emulated the
-// paper's daily Spark job (§4.2) with map / flatMap / groupByKey stages.
-// That plan wrote the same bytes as core.BuildIndex's two-pass scatter at
-// several times its time and memory, so the operators are gone and
-// index.Build ignores the Engine it is given. Do not use it in new code.
+// Package dataflow holds the Engine argument that index.Build still takes
+// and ignores; the index is built by core.BuildIndex. Do not use it in new
+// code.
 package dataflow
 
 import "runtime"
 
-// Engine is a worker count that nothing reads any more.
+// Engine is a worker count the index builder does not read.
 //
 // Deprecated: index.Build ignores it; call core.BuildIndex.
 type Engine struct {

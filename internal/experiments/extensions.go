@@ -131,7 +131,7 @@ func Extensions(opts Options) (*ExtensionsResult, error) {
 	// materialising the dataset as well as building the index.
 	start = time.Now()
 	all := append(append([]sessions.Session{}, train.Sessions...), test.Sessions...)
-	full := sessions.RenumberSessions("full", all)
+	full := sessions.Renumber(sessions.FromSessions("full", all))
 	if _, err := core.BuildIndex(full, 0); err != nil {
 		return nil, err
 	}
