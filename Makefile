@@ -81,7 +81,7 @@ quality-bench:
 		| $(GO) run ./tools/benchjson > BENCH_quality.json
 	@echo wrote BENCH_quality.json
 
-# Full-stack HTTP edge benchmarks (recommend POST/GET, cache hit, idempotent
+# Full-stack HTTP edge benchmarks (recommend POST/GET, idempotent
 # replay) with allocation counts, committed as the versioned
 # BENCH_http.json artifact — the zero-allocation edge's regression baseline.
 http-bench:

@@ -90,9 +90,6 @@ func main() {
 		rates    = flag.String("rates", "100,200,400,600", "comma-separated rates for -sweep")
 		perRate  = flag.Duration("per-rate", 5*time.Second, "duration per rate for -sweep")
 		seed     = flag.Int64("seed", 0, "random seed override")
-		cacheSz  = flag.Int("result-cache-size", 0, "replica single-flight result cache entries (0 disables)")
-		cacheTTL = flag.Duration("result-cache-ttl", 0, "result cache entry lifetime (0 = serving default)")
-		burst    = flag.Int("burst", 1, "replay each session under this many session keys (duplicate-heavy traffic)")
 		sloSweep = flag.Bool("slo-sweep", false, "run the burn-rate-vs-RPS sweep instead (uses -rates and -per-rate)")
 		sloP99   = flag.Duration("slo-latency-p99", 0, "replica latency objective; slower requests burn budget (0 = off, or 5ms for -slo-sweep)")
 		sloErr   = flag.Float64("slo-error-budget", 0, "fraction of requests allowed to fail (0 = error objective off)")
@@ -112,9 +109,6 @@ func main() {
 		RPS:            *rps,
 		Duration:       *duration,
 		Replicas:       *replicas,
-		CacheSize:      *cacheSz,
-		CacheTTL:       *cacheTTL,
-		Burst:          *burst,
 		SLOLatencyP99:  *sloP99,
 		SLOErrorBudget: *sloErr,
 	}

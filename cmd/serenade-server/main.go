@@ -63,6 +63,12 @@ func parseByteSize(s string) (int64, error) {
 	return int64(n * float64(mult)), nil
 }
 
+// trendingMinScore is the decayed score below which the one-minute sweep
+// stops tracking an item: a single click two half-lives old. Such an item
+// is not trending, and dropping it leaves room under the tracker's item cap
+// for items that are.
+const trendingMinScore = 0.25
+
 // rollover is the daily index rollover: load the index file at path (mmap
 // for v2, so the new generation pages in on demand), swap it in under the
 // in-flight traffic and record the load time. The replaced mapping is
@@ -83,61 +89,90 @@ func rollover(srv *serving.Server, path string) (*core.Index, time.Duration, err
 	return next, d, nil
 }
 
+// options is the server's command line.
+type options struct {
+	indexPath string
+	addr      string
+	m, k      int
+	history   int
+	slotSize  int
+	ttl       time.Duration
+	storeDir  string
+	walSync   string
+	walSyncIv time.Duration
+	idemTTL   time.Duration
+	fallback  bool
+	trendHL   time.Duration
+	debugAddr string
+	slowQuery time.Duration
+	traceRing int
+	traceEach int
+	logJSON   bool
+	sloP99    time.Duration
+	sloBudget float64
+	sloErr    float64
+	gogc      int
+	memLimit  string
+}
+
+// flags registers every knob of the server on a new FlagSet that parses into
+// o. TestFlags pins the set of names.
+func (o *options) flags() *flag.FlagSet {
+	fs := flag.NewFlagSet("serenade-server", flag.ExitOnError)
+	fs.StringVar(&o.indexPath, "index", "", "index file from serenade-indexer (required)")
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&o.m, "m", 500, "recency sample size (hyperparameter m)")
+	fs.IntVar(&o.k, "k", 500, "number of neighbours (hyperparameter k)")
+	fs.IntVar(&o.history, "history", 0, "session items used for prediction (0 = all; 2 = serenade-hist; 1 = serenade-recent)")
+	fs.IntVar(&o.slotSize, "recommendations", 21, "items per response")
+	fs.DurationVar(&o.ttl, "session-ttl", 30*time.Minute, "session inactivity expiry")
+	fs.StringVar(&o.storeDir, "store-dir", "", "durable session store directory (empty = memory only)")
+	fs.StringVar(&o.walSync, "wal-sync", "interval", "session store WAL fsync policy: always | interval | never")
+	fs.DurationVar(&o.walSyncIv, "wal-sync-interval", 5*time.Millisecond, "group-commit window for -wal-sync=interval")
+	fs.DurationVar(&o.idemTTL, "idempotency-ttl", 2*time.Minute, "how long, from the first answer, a retry with the same X-Idempotency-Key, session, item and consent is replayed; 65,536 entries, oldest evicted when full (negative disables)")
+	fs.BoolVar(&o.fallback, "fallback-popular", true, "pad short lists with popular items")
+	fs.DurationVar(&o.trendHL, "trending-half-life", 2*time.Hour, "trending tracker half-life (0 disables /v1/trending)")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "listen address for net/http/pprof profiling endpoints (empty = disabled)")
+	fs.DurationVar(&o.slowQuery, "slow-query", 25*time.Millisecond, "log requests slower than this (0 disables the slow-query log)")
+	fs.IntVar(&o.traceRing, "trace-ring", 256, "traces retained for /debug/traces (<0 disables tracing sample retention)")
+	fs.IntVar(&o.traceEach, "trace-sample", 16, "sample 1 in N requests into the trace ring (slow requests always kept)")
+	fs.BoolVar(&o.logJSON, "log-json", false, "structured logs as JSON instead of text")
+	fs.DurationVar(&o.sloP99, "slo-latency-p99", 50*time.Millisecond, "latency objective: requests slower than this burn error budget, tracked at /debug/slo (0 disables)")
+	fs.Float64Var(&o.sloBudget, "slo-latency-budget", 0, "fraction of requests allowed to exceed -slo-latency-p99 (0 = default 1%, a p99 objective)")
+	fs.Float64Var(&o.sloErr, "slo-error-budget", 0.001, "fraction of requests allowed to fail before the error-rate SLO burns (0 disables)")
+	fs.IntVar(&o.gogc, "gogc", 0, "GC target percentage (runtime/debug.SetGCPercent); 0 keeps the runtime default / GOGC env. The mostly-static index heap tolerates a high value (e.g. 400) for fewer GC cycles")
+	fs.StringVar(&o.memLimit, "gomemlimit", "", "soft memory limit, e.g. 4GiB (runtime/debug.SetMemoryLimit); empty keeps the runtime default / GOMEMLIMIT env. Pair with a high -gogc to cap the pod instead of pacing by live-heap growth")
+	return fs
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("serenade-server: ")
 
-	var (
-		indexPath = flag.String("index", "", "index file from serenade-indexer (required)")
-		addr      = flag.String("addr", ":8080", "listen address")
-		m         = flag.Int("m", 500, "recency sample size (hyperparameter m)")
-		k         = flag.Int("k", 500, "number of neighbours (hyperparameter k)")
-		history   = flag.Int("history", 0, "session items used for prediction (0 = all; 2 = serenade-hist; 1 = serenade-recent)")
-		slotSize  = flag.Int("recommendations", 21, "items per response")
-		ttl       = flag.Duration("session-ttl", 30*time.Minute, "session inactivity expiry")
-		storeDir  = flag.String("store-dir", "", "durable session store directory (empty = memory only)")
-		walSync   = flag.String("wal-sync", "interval", "session store WAL fsync policy: always | interval | never")
-		walSyncIv = flag.Duration("wal-sync-interval", 5*time.Millisecond, "group-commit window for -wal-sync=interval")
-		idemTTL   = flag.Duration("idempotency-ttl", 2*time.Minute, "how long, from the first answer, a retry with the same X-Idempotency-Key, session, item and consent is replayed; 65,536 entries, oldest evicted when full (negative disables)")
-		fallback  = flag.Bool("fallback-popular", true, "pad short lists with popular items")
-		trendHL   = flag.Duration("trending-half-life", 2*time.Hour, "trending tracker half-life (0 disables /v1/trending)")
-		debugAddr = flag.String("debug-addr", "", "listen address for net/http/pprof profiling endpoints (empty = disabled)")
-		slowQuery = flag.Duration("slow-query", 25*time.Millisecond, "log requests slower than this (0 disables the slow-query log)")
-		traceRing = flag.Int("trace-ring", 256, "traces retained for /debug/traces (<0 disables tracing sample retention)")
-		traceEach = flag.Int("trace-sample", 16, "sample 1 in N requests into the trace ring (slow requests always kept)")
-		logJSON   = flag.Bool("log-json", false, "structured logs as JSON instead of text")
-		cacheSize = flag.Int("result-cache-size", 0, "single-flight result cache entries (0 disables the cache)")
-		cacheTTL  = flag.Duration("result-cache-ttl", 0, "result cache entry lifetime (0 = default 5s)")
-		sloP99    = flag.Duration("slo-latency-p99", 50*time.Millisecond, "latency objective: requests slower than this burn error budget, tracked at /debug/slo (0 disables)")
-		sloBudget = flag.Float64("slo-latency-budget", 0, "fraction of requests allowed to exceed -slo-latency-p99 (0 = default 1%, a p99 objective)")
-		sloErr    = flag.Float64("slo-error-budget", 0.001, "fraction of requests allowed to fail before the error-rate SLO burns (0 disables)")
-
-		gogc     = flag.Int("gogc", 0, "GC target percentage (runtime/debug.SetGCPercent); 0 keeps the runtime default / GOGC env. The mostly-static index heap tolerates a high value (e.g. 400) for fewer GC cycles")
-		memLimit = flag.String("gomemlimit", "", "soft memory limit, e.g. 4GiB (runtime/debug.SetMemoryLimit); empty keeps the runtime default / GOMEMLIMIT env. Pair with a high -gogc to cap the pod instead of pacing by live-heap growth")
-	)
-	flag.Parse()
-	if *indexPath == "" {
+	var o options
+	o.flags().Parse(os.Args[1:]) // ExitOnError: a bad flag exits here
+	if o.indexPath == "" {
 		log.Fatal("-index is required")
 	}
-	if *gogc > 0 {
-		prev := debug.SetGCPercent(*gogc)
-		log.Printf("gc target set to %d%% (was %d%%)", *gogc, prev)
+	if o.gogc > 0 {
+		prev := debug.SetGCPercent(o.gogc)
+		log.Printf("gc target set to %d%% (was %d%%)", o.gogc, prev)
 	}
-	if *memLimit != "" {
-		limit, err := parseByteSize(*memLimit)
+	if o.memLimit != "" {
+		limit, err := parseByteSize(o.memLimit)
 		if err != nil {
 			log.Fatalf("-gomemlimit: %v", err)
 		}
 		debug.SetMemoryLimit(limit)
-		log.Printf("soft memory limit set to %s (%d bytes)", *memLimit, limit)
+		log.Printf("soft memory limit set to %s (%d bytes)", o.memLimit, limit)
 	}
-	syncPolicy, err := kvstore.ParseSyncPolicy(*walSync)
+	syncPolicy, err := kvstore.ParseSyncPolicy(o.walSync)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	var handler slog.Handler
-	if *logJSON {
+	if o.logJSON {
 		handler = slog.NewJSONHandler(os.Stderr, nil)
 	} else {
 		handler = slog.NewTextHandler(os.Stderr, nil)
@@ -145,7 +180,7 @@ func main() {
 	logger := slog.New(handler)
 
 	start := time.Now()
-	idx, err := index.LoadFile(*indexPath)
+	idx, err := index.LoadFile(o.indexPath)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -156,33 +191,31 @@ func main() {
 		idx.Mapped(), float64(heapBytes)/(1<<20), float64(mmapBytes)/(1<<20))
 
 	var tracker *trending.Tracker
-	if *trendHL > 0 {
-		tracker = trending.New(*trendHL, nil)
+	if o.trendHL > 0 {
+		tracker = trending.New(o.trendHL, nil)
 	}
 
 	srv, err := serving.NewServer(idx, serving.Config{
-		Params:             core.Params{M: *m, K: *k},
-		ResultCacheSize:    *cacheSize,
-		ResultCacheTTL:     *cacheTTL,
-		Recommendations:    *slotSize,
-		HistoryLength:      *history,
-		SessionTTL:         *ttl,
-		StoreDir:           *storeDir,
+		Params:             core.Params{M: o.m, K: o.k},
+		Recommendations:    o.slotSize,
+		HistoryLength:      o.history,
+		SessionTTL:         o.ttl,
+		StoreDir:           o.storeDir,
 		WALSync:            syncPolicy,
-		WALSyncInterval:    *walSyncIv,
-		IdempotencyTTL:     *idemTTL,
+		WALSyncInterval:    o.walSyncIv,
+		IdempotencyTTL:     o.idemTTL,
 		Catalog:            serving.NewCatalog(),
-		FallbackToPopular:  *fallback,
+		FallbackToPopular:  o.fallback,
 		OwnIndex:           true, // rollover munmaps the outgoing index once drained
 		Trending:           tracker,
-		SlowQueryThreshold: *slowQuery,
-		TraceRingSize:      *traceRing,
-		TraceSampleEvery:   *traceEach,
+		SlowQueryThreshold: o.slowQuery,
+		TraceRingSize:      o.traceRing,
+		TraceSampleEvery:   o.traceEach,
 		Logger:             logger,
 
-		SLOLatencyThreshold: *sloP99,
-		SLOLatencyBudget:    *sloBudget,
-		SLOErrorBudget:      *sloErr,
+		SLOLatencyThreshold: o.sloP99,
+		SLOLatencyBudget:    o.sloBudget,
+		SLOErrorBudget:      o.sloErr,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -198,9 +231,9 @@ func main() {
 	signal.Notify(hup, syscall.SIGHUP)
 	go func() {
 		for range hup {
-			next, d, err := rollover(srv, *indexPath)
+			next, d, err := rollover(srv, o.indexPath)
 			if err != nil {
-				logger.Error("index rollover failed", "path", *indexPath, "err", err)
+				logger.Error("index rollover failed", "path", o.indexPath, "err", err)
 				continue
 			}
 			logger.Info("index rolled over", "sessions", next.NumSessions(),
@@ -208,7 +241,8 @@ func main() {
 		}
 	}()
 
-	// Periodic session expiry, mirroring the 30-minute RocksDB TTL.
+	// Periodic session expiry, mirroring the 30-minute RocksDB TTL, and
+	// trending compaction, which keeps a full tracker admitting new items.
 	sweepDone := make(chan struct{})
 	go func() {
 		ticker := time.NewTicker(time.Minute)
@@ -218,6 +252,9 @@ func main() {
 			case <-ticker.C:
 				if n := srv.SweepSessions(); n > 0 {
 					log.Printf("swept %d expired sessions", n)
+				}
+				if tracker != nil {
+					tracker.Compact(trendingMinScore)
 				}
 			case <-sweepDone:
 				return
@@ -230,14 +267,14 @@ func main() {
 	// reachable through the public serving address: CPU and allocation
 	// profiles of the live scoring kernel come from
 	// /debug/pprof/{profile,heap,allocs} on this port only.
-	if *debugAddr != "" {
+	if o.debugAddr != "" {
 		go func() {
 			dbg := &http.Server{
-				Addr:              *debugAddr,
+				Addr:              o.debugAddr,
 				Handler:           http.DefaultServeMux, // net/http/pprof registers here
 				ReadHeaderTimeout: 5 * time.Second,
 			}
-			log.Printf("pprof debug server on %s", *debugAddr)
+			log.Printf("pprof debug server on %s", o.debugAddr)
 			if err := dbg.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				log.Printf("debug server: %v", err)
 			}
@@ -245,7 +282,7 @@ func main() {
 	}
 
 	httpSrv := &http.Server{
-		Addr:              *addr,
+		Addr:              o.addr,
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
@@ -267,7 +304,7 @@ func main() {
 		close(drained)
 	}()
 
-	fmt.Printf("serving on %s\n", *addr)
+	fmt.Printf("serving on %s\n", o.addr)
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}

@@ -364,27 +364,44 @@ func TestNewRecommenderRejectsMBeyondCapacity(t *testing.T) {
 	}
 }
 
+// newIndexFromParts flattens per-list slices into the CSR form, unvalidated,
+// and builds the index through NewIndexFromCSR, the one validating
+// constructor, so the tests below can hand it indexes that break one
+// invariant.
+func newIndexFromParts(times []int64, postings [][]sessions.SessionID, sessionItems [][]sessions.ItemID, df []int32) (*Index, error) {
+	c := CSR{Times: times, DF: df, PostingOffsets: []uint32{0}, SessionItemOffsets: []uint32{0}}
+	for _, list := range postings {
+		c.PostingData = append(c.PostingData, list...)
+		c.PostingOffsets = append(c.PostingOffsets, uint32(len(c.PostingData)))
+	}
+	for _, list := range sessionItems {
+		c.SessionItemData = append(c.SessionItemData, list...)
+		c.SessionItemOffsets = append(c.SessionItemOffsets, uint32(len(c.SessionItemData)))
+	}
+	return NewIndexFromCSR(c, 0, Arena{})
+}
+
 func TestNewIndexFromPartsValidation(t *testing.T) {
 	times := []int64{100, 200}
 	sessionItems := [][]sessions.ItemID{{0}, {0}}
 	goodPostings := [][]sessions.SessionID{{1, 0}}
 	df := []int32{2}
-	if _, err := NewIndexFromParts(times, goodPostings, sessionItems, df, 0); err != nil {
+	if _, err := newIndexFromParts(times, goodPostings, sessionItems, df); err != nil {
 		t.Fatalf("valid parts rejected: %v", err)
 	}
 	// length mismatch
-	if _, err := NewIndexFromParts(times, goodPostings, sessionItems, []int32{1, 2}, 0); err == nil {
+	if _, err := newIndexFromParts(times, goodPostings, sessionItems, []int32{1, 2}); err == nil {
 		t.Error("df length mismatch accepted")
 	}
-	if _, err := NewIndexFromParts(times[:1], goodPostings, sessionItems, df, 0); err == nil {
+	if _, err := newIndexFromParts(times[:1], goodPostings, sessionItems, df); err == nil {
 		t.Error("times length mismatch accepted")
 	}
 	// unknown session reference
-	if _, err := NewIndexFromParts(times, [][]sessions.SessionID{{7}}, sessionItems, df, 0); err == nil {
+	if _, err := newIndexFromParts(times, [][]sessions.SessionID{{7}}, sessionItems, df); err == nil {
 		t.Error("dangling session reference accepted")
 	}
 	// wrong order
-	if _, err := NewIndexFromParts(times, [][]sessions.SessionID{{0, 1}}, sessionItems, df, 0); err == nil {
+	if _, err := newIndexFromParts(times, [][]sessions.SessionID{{0, 1}}, sessionItems, df); err == nil {
 		t.Error("ascending posting order accepted")
 	}
 }
@@ -405,11 +422,11 @@ func TestNewIndexRejectsMergeViolations(t *testing.T) {
 		{"repeated posting id", []int64{100, 200}, [][]sessions.SessionID{{1, 1}, {1}}, []int32{2, 1}},
 		{"ascending ids at equal times", []int64{100, 100}, [][]sessions.SessionID{{0, 1}, {1}}, []int32{2, 1}},
 	} {
-		if _, err := NewIndexFromParts(tc.times, tc.postings, items, tc.df, 0); err == nil {
+		if _, err := newIndexFromParts(tc.times, tc.postings, items, tc.df); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
-	if _, err := NewIndexFromParts([]int64{100, 100}, [][]sessions.SessionID{{1, 0}, {1}}, items, []int32{2, 1}, 0); err != nil {
+	if _, err := newIndexFromParts([]int64{100, 100}, [][]sessions.SessionID{{1, 0}, {1}}, items, []int32{2, 1}); err != nil {
 		t.Errorf("equal timestamps with descending ids rejected: %v", err)
 	}
 }

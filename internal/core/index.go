@@ -208,50 +208,6 @@ func BuildIndex(ds *sessions.Dataset, capacity int) (*Index, error) {
 	return idx, nil
 }
 
-// NewIndexFromParts assembles an index from per-list slices, flattening
-// them into the CSR arena and recomputing the derived inverse document
-// frequencies. It validates the structural invariants that Recommend
-// relies on.
-func NewIndexFromParts(times []int64, postings [][]sessions.SessionID, sessionItems [][]sessions.ItemID, df []int32, capacity int) (*Index, error) {
-	if len(postings) != len(df) {
-		return nil, fmt.Errorf("core: postings (%d) and document frequencies (%d) disagree on item count", len(postings), len(df))
-	}
-	if len(times) != len(sessionItems) {
-		return nil, fmt.Errorf("core: timestamps (%d) and session items (%d) disagree on session count", len(times), len(sessionItems))
-	}
-	c := CSR{
-		Times:              times,
-		PostingOffsets:     make([]uint32, len(postings)+1),
-		SessionItemOffsets: make([]uint32, len(times)+1),
-		DF:                 df,
-	}
-	var total uint64
-	for i, list := range postings {
-		total += uint64(len(list))
-		if total > math.MaxUint32 {
-			return nil, fmt.Errorf("core: posting arena exceeds 2^32 entries at item %d", i)
-		}
-		c.PostingOffsets[i+1] = uint32(total)
-	}
-	c.PostingData = make([]sessions.SessionID, 0, total)
-	for _, list := range postings {
-		c.PostingData = append(c.PostingData, list...)
-	}
-	total = 0
-	for s, list := range sessionItems {
-		total += uint64(len(list))
-		if total > math.MaxUint32 {
-			return nil, fmt.Errorf("core: session-item arena exceeds 2^32 entries at session %d", s)
-		}
-		c.SessionItemOffsets[s+1] = uint32(total)
-	}
-	c.SessionItemData = make([]sessions.ItemID, 0, total)
-	for _, list := range sessionItems {
-		c.SessionItemData = append(c.SessionItemData, list...)
-	}
-	return NewIndexFromCSR(c, capacity, Arena{})
-}
-
 // NewIndexFromCSR assembles an index directly from its flat-arena form — the
 // zero-copy constructor behind the v2 file format: the slices may alias an
 // mmap region described by arena, and nothing is copied. It validates every

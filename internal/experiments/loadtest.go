@@ -22,14 +22,6 @@ type LoadTestConfig struct {
 	Duration time.Duration
 	// Replicas is the number of stateful serving pods (the paper uses 2).
 	Replicas int
-	// CacheSize enables the single-flight result cache (entries; 0 = off).
-	CacheSize int
-	// CacheTTL overrides the cache entry lifetime (0 = serving default).
-	CacheTTL time.Duration
-	// Burst replays each session under this many distinct session keys,
-	// interleaved — the duplicate-heavy traffic the cache absorbs (<= 1
-	// replays each session once).
-	Burst int
 	// SLOLatencyP99 sets the replicas' latency objective: requests slower
 	// than this burn error budget (0 = objective disabled).
 	SLOLatencyP99 time.Duration
@@ -90,8 +82,6 @@ func LoadTest(cfg LoadTestConfig, opts Options) (*LoadTestResult, error) {
 	}
 	pool, err := cluster.NewPool(idx, serving.Config{
 		Params:              core.Params{M: 500, K: 100},
-		ResultCacheSize:     cfg.CacheSize,
-		ResultCacheTTL:      cfg.CacheTTL,
 		SLOLatencyThreshold: cfg.SLOLatencyP99,
 		SLOErrorBudget:      cfg.SLOErrorBudget,
 	}, cfg.Replicas)
@@ -100,7 +90,7 @@ func LoadTest(cfg LoadTestConfig, opts Options) (*LoadTestResult, error) {
 	}
 	defer pool.Close()
 
-	workload := loadgen.BurstWorkload(test, 0, cfg.Burst)
+	workload := loadgen.Workload(test, 0)
 	if len(workload) == 0 {
 		return nil, fmt.Errorf("experiments: empty replay workload")
 	}
@@ -211,36 +201,6 @@ func PrintLoadTest(w io.Writer, res *LoadTestResult) {
 	}
 	printTable(w, rheader, rcells)
 	printBurnTable(w, res.SLO)
-
-	// Result-cache accounting, when the cache was on.
-	active := false
-	for _, rep := range res.Replicas {
-		if rep.CacheHits+rep.CacheMisses+rep.CacheCoalesced > 0 {
-			active = true
-			break
-		}
-	}
-	if !active {
-		return
-	}
-	fmt.Fprintln(w, "\nper-replica result cache")
-	cheader := []string{"replica", "hits", "misses", "coalesced", "hit ratio"}
-	var ccells [][]string
-	for _, rep := range res.Replicas {
-		lookups := rep.CacheHits + rep.CacheMisses + rep.CacheCoalesced
-		ratio := "-"
-		if lookups > 0 {
-			ratio = fmt.Sprintf("%.1f%%", 100*float64(rep.CacheHits+rep.CacheCoalesced)/float64(lookups))
-		}
-		ccells = append(ccells, []string{
-			rep.Name,
-			fmt.Sprintf("%d", rep.CacheHits),
-			fmt.Sprintf("%d", rep.CacheMisses),
-			fmt.Sprintf("%d", rep.CacheCoalesced),
-			ratio,
-		})
-	}
-	printTable(w, cheader, ccells)
 }
 
 // printBurnTable renders each replica's burn rate against the load it
@@ -379,7 +339,7 @@ func SLOSweep(rates []int, perRate time.Duration, cfg LoadTestConfig, opts Optio
 	if err != nil {
 		return nil, err
 	}
-	workload := loadgen.BurstWorkload(test, 0, cfg.Burst)
+	workload := loadgen.Workload(test, 0)
 	if len(workload) == 0 {
 		return nil, fmt.Errorf("experiments: empty replay workload")
 	}
@@ -388,8 +348,6 @@ func SLOSweep(rates []int, perRate time.Duration, cfg LoadTestConfig, opts Optio
 	for _, rps := range rates {
 		pool, err := cluster.NewPool(idx, serving.Config{
 			Params:              core.Params{M: 500, K: 100},
-			ResultCacheSize:     cfg.CacheSize,
-			ResultCacheTTL:      cfg.CacheTTL,
 			SLOLatencyThreshold: cfg.SLOLatencyP99,
 			SLOErrorBudget:      cfg.SLOErrorBudget,
 		}, cfg.Replicas)

@@ -241,36 +241,18 @@ func sampleCPUPerBucket(c *cpuSampler, bucket, duration time.Duration) <-chan []
 // each test session becomes one session-update request; limit > 0 caps the
 // number of requests.
 func Workload(ds *sessions.Dataset, limit int) []serving.Request {
-	return BurstWorkload(ds, limit, 1)
-}
-
-// BurstWorkload replays each session burst times under distinct session
-// keys, interleaved click by click: at every point of every session, burst
-// users sit at the same position of the same click path. This is the
-// duplicate-heavy traffic shape of flash sales and landing-page campaigns —
-// the workload the single-flight result cache is built for. burst <= 1
-// degenerates to Workload.
-func BurstWorkload(ds *sessions.Dataset, limit, burst int) []serving.Request {
-	if burst < 1 {
-		burst = 1
-	}
 	var reqs []serving.Request
 	for i := range ds.Sessions {
 		s := &ds.Sessions[i]
+		key := fmt.Sprintf("replay-%d", s.ID)
 		for _, item := range s.Items {
-			for b := 0; b < burst; b++ {
-				key := fmt.Sprintf("replay-%d", s.ID)
-				if burst > 1 {
-					key = fmt.Sprintf("replay-%d-%d", s.ID, b)
-				}
-				reqs = append(reqs, serving.Request{
-					SessionKey: key,
-					Item:       item,
-					Consent:    true,
-				})
-				if limit > 0 && len(reqs) >= limit {
-					return reqs
-				}
+			reqs = append(reqs, serving.Request{
+				SessionKey: key,
+				Item:       item,
+				Consent:    true,
+			})
+			if limit > 0 && len(reqs) >= limit {
+				return reqs
 			}
 		}
 	}

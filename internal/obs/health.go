@@ -7,7 +7,7 @@ import (
 
 // HealthSignal is one replica's overload telemetry snapshot: the leading
 // indicator admission control needs (in-flight requests) next to the
-// trailing ones (burn rates, hit ratios, GC pressure). Serving fills it, the
+// trailing ones (burn rates, GC pressure). Serving fills it, the
 // cluster proxy republishes it per backend at /proxy/health, and the load
 // tester prints it against the offered load.
 //
@@ -18,12 +18,6 @@ type HealthSignal struct {
 
 	// Request pressure.
 	InFlight int64 `json:"in_flight"`
-
-	// Result-cache effectiveness over rolling windows; a falling short-window
-	// ratio under rising load means the cache is churning, not absorbing.
-	CacheLookups1m   uint64  `json:"cache_lookups_1m"`
-	CacheHitRatio10s float64 `json:"cache_hit_ratio_10s"`
-	CacheHitRatio1m  float64 `json:"cache_hit_ratio_1m"`
 
 	// SLO burn summary (worst endpoint).
 	BurnRate float64 `json:"slo_burn_rate"`

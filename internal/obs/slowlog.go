@@ -92,8 +92,6 @@ func (l *SlowLog) Log(sp *Span) {
 			attrs = append(attrs, "stage_"+Stage(i).String(), d)
 		}
 	}
-	// Cache context: was this a cache hit, a coalesced wait or a scored miss.
-	attrs = append(attrs, "flags", sp.Flags.String())
 	if fn := l.burnState.Load(); fn != nil {
 		worst, fastBurn, slowBurn := (*fn)()
 		attrs = append(attrs,

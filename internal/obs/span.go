@@ -33,65 +33,6 @@ func (s Stage) String() string {
 	return "unknown"
 }
 
-// SpanFlags annotate how a request met the result cache, as a bitmask so
-// pooled spans stay allocation-free.
-type SpanFlags uint8
-
-const (
-	// FlagCacheHit marks a request served straight from the result cache.
-	FlagCacheHit SpanFlags = 1 << iota
-	// FlagCacheMiss marks a request that missed the result cache.
-	FlagCacheMiss
-	// FlagCacheLeader marks the single-flight leader that computed the
-	// cache entry other requests coalesced onto.
-	FlagCacheLeader
-	// FlagCacheWaiter marks a request that coalesced onto a leader's
-	// in-flight computation instead of scoring itself.
-	FlagCacheWaiter
-)
-
-var flagNames = []struct {
-	f    SpanFlags
-	name string
-}{
-	{FlagCacheHit, "cache_hit"},
-	{FlagCacheMiss, "cache_miss"},
-	{FlagCacheLeader, "cache_leader"},
-	{FlagCacheWaiter, "cache_waiter"},
-}
-
-// Names expands the bitmask into stable, scrape-friendly strings.
-func (f SpanFlags) Names() []string {
-	if f == 0 {
-		return nil
-	}
-	out := make([]string, 0, 3)
-	for _, fn := range flagNames {
-		if f&fn.f != 0 {
-			out = append(out, fn.name)
-		}
-	}
-	return out
-}
-
-// String renders the flags comma-joined, "-" when none are set; it is the
-// zero-alloc-friendly form the slow-query log uses.
-func (f SpanFlags) String() string {
-	if f == 0 {
-		return "-"
-	}
-	s := ""
-	for _, fn := range flagNames {
-		if f&fn.f != 0 {
-			if s != "" {
-				s += ","
-			}
-			s += fn.name
-		}
-	}
-	return s
-}
-
 // Span is one request's trace record: identity, wall-clock start, and
 // monotonic per-stage durations. Spans are created by a Tracer, carried
 // through the request path, and handed back via Tracer.Finish, after which
@@ -112,15 +53,9 @@ type Span struct {
 	Stages [NumStages]time.Duration
 	Error  string // error class, empty on success
 
-	// Flags annotate the request's result-cache outcome.
-	Flags SpanFlags
-
 	// cursor is the end of the last attributed segment; Cut advances it.
 	cursor time.Time
 }
-
-// AddFlags ORs annotation flags into the span.
-func (sp *Span) AddFlags(f SpanFlags) { sp.Flags |= f }
 
 // Cut attributes the time since the previous Cut (or since Start) to the
 // given stage and advances the cursor, so consecutive cuts partition the

@@ -89,20 +89,6 @@ func TestErrorTierRetainsAllErrors(t *testing.T) {
 	}
 }
 
-func TestSpanFlags(t *testing.T) {
-	f := FlagCacheMiss | FlagCacheLeader
-	if got := f.String(); got != "cache_miss,cache_leader" {
-		t.Fatalf("String = %q", got)
-	}
-	if got := SpanFlags(0).String(); got != "-" {
-		t.Fatalf("zero String = %q", got)
-	}
-	names := (FlagCacheHit | FlagCacheWaiter).Names()
-	if len(names) != 2 || names[0] != "cache_hit" || names[1] != "cache_waiter" {
-		t.Fatalf("Names = %v", names)
-	}
-}
-
 func TestTraceHandlerFilters(t *testing.T) {
 	defer func() { nowMono = time.Now }()
 	tr := NewTracer(TracerOptions{RingSize: 64, TailKeep: 8, ErrorKeep: 8})
@@ -155,7 +141,6 @@ func TestSlowLogContextAndBurnState(t *testing.T) {
 	base := time.Now()
 	nowMono = func() time.Time { return base }
 	sp := tr.Start("recommend")
-	sp.AddFlags(FlagCacheMiss | FlagCacheLeader)
 	base = base.Add(5 * time.Millisecond)
 	sp.Cut(StageScore)
 	tr.Finish(sp)
@@ -164,7 +149,6 @@ func TestSlowLogContextAndBurnState(t *testing.T) {
 	out := buf.String()
 	mu.Unlock()
 	for _, want := range []string{
-		"flags=cache_miss,cache_leader",
 		"stage_score=5ms",
 		"slo_burn_rate=22.5",
 		"slo_fast_burn=true",

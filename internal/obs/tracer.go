@@ -176,7 +176,6 @@ type traceView struct {
 	Total     string           `json:"total"`
 	Stages    map[string]int64 `json:"stages_ns"`
 	Error     string           `json:"error,omitempty"`
-	Flags     []string         `json:"flags,omitempty"`
 }
 
 func viewOf(sp Span) traceView {
@@ -191,7 +190,6 @@ func viewOf(sp Span) traceView {
 		Total:     sp.Total.String(),
 		Stages:    make(map[string]int64, len(sp.Stages)),
 		Error:     sp.Error,
-		Flags:     sp.Flags.Names(),
 	}
 	for i, d := range sp.Stages {
 		if d > 0 {

@@ -110,62 +110,3 @@ func TestConcurrentIdempotentReplayNoAliasing(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestConcurrentCacheLeaderWaiterNoAliasing sends many concurrent requests
-// whose sessions share a kernel tail, so they collide on one result-cache
-// entry: one goroutine computes as leader, the rest wait and copy the cached
-// items. Every response must list identical items — a waiter handed a slice
-// aliased to the leader's pooled scratch would see items mutate under it.
-func TestConcurrentCacheLeaderWaiterNoAliasing(t *testing.T) {
-	s := testServer(t, Config{ResultCacheSize: 4096, ResultCacheTTL: 3600e9})
-	h := s.Handler()
-
-	const goroutines = 8
-	const iters = 40
-
-	type itemsJSON struct {
-		Items json.RawMessage `json:"items"`
-	}
-	var ref itemsJSON
-	refBody := postRecommend(t, h, "alias-cache-ref", "", 0).Body.Bytes()
-	if err := json.Unmarshal(refBody, &ref); err != nil {
-		t.Fatalf("reference response: %v", err)
-	}
-	refItems := string(ref.Items)
-
-	var wg sync.WaitGroup
-	errs := make(chan error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				// Fresh session per request: every session's kernel tail is the
-				// single item 0, so all of them hash to the same cache key.
-				body := fmt.Sprintf(`{"session_id":"alias-cache-%d-%d","item_id":0,"consent":true}`, g, i)
-				req := httptest.NewRequest(http.MethodPost, "/v1/recommend", strings.NewReader(body))
-				req.Header.Set("Content-Type", "application/json")
-				w := httptest.NewRecorder()
-				h.ServeHTTP(w, req)
-				if w.Code != http.StatusOK {
-					errs <- fmt.Errorf("goroutine %d iter %d: status %d", g, i, w.Code)
-					return
-				}
-				var got itemsJSON
-				if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil {
-					errs <- fmt.Errorf("goroutine %d iter %d: garbled response: %v", g, i, err)
-					return
-				}
-				if string(got.Items) != refItems {
-					errs <- fmt.Errorf("goroutine %d iter %d: items diverged from leader:\n got %s\nwant %s", g, i, got.Items, refItems)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-}

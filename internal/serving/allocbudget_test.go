@@ -9,8 +9,8 @@ import (
 )
 
 // Steady-state allocation budgets for the HTTP edge, in allocations per
-// request through the full handler stack (mux routing, decode, kernel or
-// cache, encode). These are regression tripwires, not aspirations: the
+// request through the full handler stack (mux routing, decode, kernel,
+// encode). These are regression tripwires, not aspirations: the
 // remaining allocations are accounted for one by one (the session-key
 // string the kvstore retains, the trace/span id backing, and the
 // X-Request-Id header value slice), so any new allocation on the hot path
@@ -18,7 +18,6 @@ import (
 const (
 	allocBudgetRecommendPost = 3 // session key + trace/span ids + request-id header value
 	allocBudgetRecommendGet  = 2 // key is a RawQuery substring; ids + header value remain
-	allocBudgetCacheHit      = 3 // same as the miss path; the cache itself adds none
 	allocBudgetReplay        = 3 // stored-bytes replay still mints ids
 )
 
@@ -68,14 +67,7 @@ func TestHTTPAllocBudgets(t *testing.T) {
 		s := testServer(t, Config{})
 		reqs, bodies := benchRequests(t, 1)
 		got := measureAllocs(t, s.Handler(), reqs[0], bodies[0])
-		checkBudget(t, "POST /v1/recommend (cache miss)", got, allocBudgetRecommendPost)
-	})
-
-	t.Run("RecommendPostCacheHit", func(t *testing.T) {
-		s := testServer(t, Config{ResultCacheSize: 4096, ResultCacheTTL: 3600e9})
-		reqs, bodies := benchRequests(t, 1)
-		got := measureAllocs(t, s.Handler(), reqs[0], bodies[0])
-		checkBudget(t, "POST /v1/recommend (cache hit)", got, allocBudgetCacheHit)
+		checkBudget(t, "POST /v1/recommend", got, allocBudgetRecommendPost)
 	})
 
 	t.Run("RecommendGet", func(t *testing.T) {

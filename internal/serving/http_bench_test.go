@@ -85,14 +85,6 @@ func BenchmarkHTTPRecommendPOST(b *testing.B) {
 	benchServe(b, s.Handler(), reqs, bodies)
 }
 
-// BenchmarkHTTPRecommendPOSTCacheHit serves the duplicate-burst shape: every
-// request after the first hits the single-flight result cache.
-func BenchmarkHTTPRecommendPOSTCacheHit(b *testing.B) {
-	s := testServer(b, Config{ResultCacheSize: 4096, ResultCacheTTL: 3600e9})
-	reqs, bodies := benchRequests(b, 64)
-	benchServe(b, s.Handler(), reqs, bodies)
-}
-
 // BenchmarkHTTPRecommendGET is the frontend-beacon form (query string).
 func BenchmarkHTTPRecommendGET(b *testing.B) {
 	s := testServer(b, Config{})

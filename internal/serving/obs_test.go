@@ -79,6 +79,30 @@ func TestRequestTrace(t *testing.T) {
 	}
 }
 
+// TestStagePartition pins the stage attribution of the prediction path: the
+// stages of a request partition its total, and every request reports both
+// candidates and score, a repeat of the same click path included.
+func TestStagePartition(t *testing.T) {
+	s := testServer(t, Config{TraceSampleEvery: 1})
+	for _, key := range []string{"a", "b"} {
+		if _, err := s.Recommend(Request{SessionKey: key, Item: popularItem(), Consent: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spans := s.Tracer().Recent()
+	if len(spans) != 2 {
+		t.Fatalf("got %d traces, want 2", len(spans))
+	}
+	for i, sp := range spans {
+		if sum := sp.StageSum(); sum > sp.Total || sp.Total-sum > sp.Total/10 {
+			t.Errorf("trace %d: stages sum to %v, total %v", i, sum, sp.Total)
+		}
+		if cand, score := sp.Stages[obs.StageCandidates], sp.Stages[obs.StageScore]; cand <= 0 || score <= 0 {
+			t.Errorf("trace %d: kernel ran but candidates=%v score=%v", i, cand, score)
+		}
+	}
+}
+
 // TestTracePropagation checks that a caller-supplied Traceparent header is
 // continued rather than replaced: the server's span must adopt the remote
 // trace id and record the remote span as its parent.

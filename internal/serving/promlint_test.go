@@ -159,13 +159,12 @@ func splitLabelPairs(s string) []string {
 }
 
 // TestPromExpositionConformance is the promlint-style satellite: scrape the
-// full /metrics.prom of a server with every subsystem enabled (cache, slow
-// log, SLO engine) and lint naming, type lines, histogram bucket
+// full /metrics.prom of a server with every subsystem enabled (slow log,
+// SLO engine) and lint naming, type lines, histogram bucket
 // monotonicity, and the presence of the new serenade_slo_* and health
 // families.
 func TestPromExpositionConformance(t *testing.T) {
 	s := testServer(t, Config{
-		ResultCacheSize:     64,
 		SlowQueryThreshold:  time.Nanosecond, // everything is "slow": exercises the slowlog counters
 		SLOLatencyThreshold: time.Millisecond,
 		SLOErrorBudget:      0.001,
@@ -207,7 +206,6 @@ func TestPromExpositionConformance(t *testing.T) {
 		"serenade_inflight_requests":             false,
 		"serenade_slowlog_entries_total":         false,
 		"serenade_slowlog_suppressed_total":      false,
-		"serenade_result_cache_hit_ratio":        false,
 	}
 	for _, sm := range samples {
 		if _, ok := want[sm.name]; ok {
@@ -220,8 +218,7 @@ func TestPromExpositionConformance(t *testing.T) {
 		}
 	}
 
-	// With the cache on, the request that ran the kernel still reports the
-	// candidates/score split.
+	// Every request runs the kernel, so the candidates stage is observed.
 	var candidatesCount float64
 	for _, sm := range samples {
 		if sm.name == "serenade_stage_latency_seconds_count" && sm.labels["stage"] == "candidates" {
@@ -229,7 +226,7 @@ func TestPromExpositionConformance(t *testing.T) {
 		}
 	}
 	if candidatesCount == 0 {
-		t.Error("candidates stage histogram has no observations on a caching server")
+		t.Error("candidates stage histogram has no observations")
 	}
 
 	checkHistogramBuckets(t, samples)

@@ -13,15 +13,14 @@ import (
 // reqScratch is the per-request scratch space that makes the HTTP edge
 // allocation-free in steady state: one pooled struct carries every buffer a
 // request needs — body read, JSON decode state, response items, session
-// state codec, kvstore reads, cache key, response encode — through the
+// state codec, kvstore reads, response encode — through the
 // handler, the recommendation pipeline and the response write.
 //
 // Lifecycle invariant: a scratch is acquired at the top of a handler and
 // released (deferred) only after the response bytes have been handed to the
 // ResponseWriter, so nothing downstream may retain a reference past the
 // handler's return. Everything that must outlive the request — the session
-// key, kvstore values, cache entries published to other requests — is
-// copied out by its owner (kvstore.Put and resultCache.fill both copy).
+// key, kvstore values — is copied out by its owner (kvstore.Put copies).
 type reqScratch struct {
 	// dec is the reusable JSON scanner; its internal unescape buffer
 	// amortises across requests.
@@ -39,8 +38,6 @@ type reqScratch struct {
 	sessEnc []byte
 	// kvBuf receives kvstore reads (session state).
 	kvBuf []byte
-	// key builds the result-cache key.
-	key []byte
 	// replayID builds the idempotency-table identity of a keyed request.
 	replayID []byte
 }
@@ -53,7 +50,6 @@ var scratchPool = sync.Pool{New: func() any {
 		session: make([]sessions.ItemID, 0, 64),
 		sessEnc: make([]byte, 0, 256),
 		kvBuf:   make([]byte, 0, 256),
-		key:     make([]byte, 0, 128),
 	}
 }}
 

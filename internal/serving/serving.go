@@ -89,14 +89,6 @@ type Config struct {
 	// popular recommendable items, so the UI slot is always full even for
 	// cold sessions on rare items.
 	FallbackToPopular bool
-	// ResultCacheSize enables the single-flight result cache: the maximum
-	// number of retained predictions. Concurrent requests with an identical
-	// kernel-truncated session tail coalesce onto one execution, and repeats
-	// within ResultCacheTTL are answered from memory. 0 disables.
-	ResultCacheSize int
-	// ResultCacheTTL is the cached-prediction lifetime; 0 means
-	// DefaultResultCacheTTL. Only meaningful with ResultCacheSize.
-	ResultCacheTTL time.Duration
 	// OwnIndex makes the server responsible for releasing index
 	// generations: an index replaced by SwapIndex (and the active one on
 	// Close) is closed — unmapping file-backed indexes — once its in-flight
@@ -157,12 +149,6 @@ type Server struct {
 	// active holds the current index generation: the index plus a pool of
 	// recommenders bound to it. Swapped wholesale on index rollover.
 	active atomic.Pointer[indexGeneration]
-	// genSeq numbers index generations; cache keys embed it so a rollover
-	// implicitly invalidates every cached prediction.
-	genSeq atomic.Uint64
-	// cache is the single-flight result cache (nil unless
-	// Config.ResultCacheSize > 0).
-	cache *resultCache
 
 	// requests and stages are contention-free striped histograms: recording
 	// a latency must never become the scalability bottleneck it would be
@@ -179,10 +165,7 @@ type Server struct {
 	sloRecommend *slo.Tracker
 	// inflight counts requests between entry and span finish — the most
 	// immediate overload signal in the health surface.
-	inflight atomic.Int64
-	// cacheWin tracks rolling (lookups, absorbed) counts for the health
-	// signal's hit-ratio windows (nil without cache).
-	cacheWin    *metrics.WindowedCounter
+	inflight    atomic.Int64
 	errors      *obs.Counter
 	errStore    *obs.Counter
 	errInput    *obs.Counter
@@ -205,9 +188,6 @@ type Server struct {
 // (Config.OwnIndex).
 type indexGeneration struct {
 	idx *core.Index
-	// seq is the generation's rollover sequence number, embedded in result
-	// cache keys so entries die with their generation.
-	seq uint64
 	// popular ranks items by document frequency, the fallback order.
 	popular []core.ScoredItem
 	pool    sync.Pool
@@ -360,10 +340,6 @@ func NewServer(idx *core.Index, cfg Config) (*Server, error) {
 		// Every slow-query line carries the burn picture it contributed to.
 		s.slowLog.SetBurnState(s.slo.Burning)
 	}
-	if cfg.ResultCacheSize > 0 {
-		s.cache = newResultCache(cfg.ResultCacheSize, cfg.ResultCacheTTL, cfg.Now)
-		s.cacheWin = metrics.NewWindowedCounter(time.Minute, cfg.Now)
-	}
 	s.buildRegistry()
 	s.active.Store(gen)
 	return s, nil
@@ -399,6 +375,10 @@ func (s *Server) buildRegistry() {
 			func() float64 { return float64(s.slowLog.SuppressedTotal()) })
 	}
 	s.slo.RegisterMetrics(r)
+	if t := s.cfg.Trending; t != nil {
+		r.CounterFunc("serenade_trending_dropped_total", "Clicks on unseen items the trending tracker refused at its item cap.",
+			func() float64 { return float64(t.Dropped()) })
+	}
 
 	r.GaugeFunc("serenade_active_sessions", "Evolving sessions currently stored.",
 		func() float64 { return float64(s.store.Len()) })
@@ -442,29 +422,6 @@ func (s *Server) buildRegistry() {
 			func() float64 { return float64(s.replay.occupied.Load()) })
 	}
 
-	if s.cache != nil {
-		r.CounterFunc("serenade_result_cache_hits_total", "Predictions answered from a completed cache entry.",
-			func() float64 { return float64(s.cache.hits.Load()) })
-		r.CounterFunc("serenade_result_cache_misses_total", "Predictions that had to execute the kernel (cache leaders).",
-			func() float64 { return float64(s.cache.misses.Load()) })
-		r.CounterFunc("serenade_result_cache_coalesced_total", "Predictions that waited on a concurrent identical request (single-flight).",
-			func() float64 { return float64(s.cache.coalesced.Load()) })
-		r.CounterFunc("serenade_result_cache_evictions_total", "Cache entries dropped by TTL expiry or the size bound.",
-			func() float64 { return float64(s.cache.evictions.Load()) })
-		r.GaugeFunc("serenade_result_cache_entries", "Predictions currently cached.",
-			func() float64 { return float64(s.cache.len()) })
-		for _, w := range []time.Duration{10 * time.Second, time.Minute} {
-			w := w
-			r.GaugeFunc("serenade_result_cache_hit_ratio", "Fraction of recent predictions absorbed by the cache (hit or coalesced), per rolling window.",
-				func() float64 {
-					lookups, absorbed, _ := s.cacheWin.Sum(w)
-					if lookups == 0 {
-						return 0
-					}
-					return float64(absorbed) / float64(lookups)
-				}, "window", w.String())
-		}
-	}
 	r.Histogram("serenade_request_latency_seconds", "End-to-end request latency.", s.requests)
 	for i := range s.stages {
 		r.Histogram("serenade_stage_latency_seconds", "Per-stage request latency.",
@@ -485,23 +442,13 @@ func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 func (s *Server) SLO() *slo.Engine { return s.slo }
 
 // Health assembles the replica's overload telemetry snapshot: in-flight
-// requests, cache effectiveness, burn state, and runtime pressure. It is the
-// payload of GET /debug/health and the per-backend sections of the cluster
-// proxy's /proxy/health.
+// requests, burn state, and runtime pressure. It is the payload of
+// GET /debug/health and the per-backend sections of the cluster proxy's
+// /proxy/health.
 func (s *Server) Health() obs.HealthSignal {
 	h := obs.HealthSignal{
 		Time:     s.cfg.Now(),
 		InFlight: s.inflight.Load(),
-	}
-	if s.cache != nil {
-		if lookups, absorbed, _ := s.cacheWin.Sum(10 * time.Second); lookups > 0 {
-			h.CacheHitRatio10s = float64(absorbed) / float64(lookups)
-		}
-		lookups, absorbed, _ := s.cacheWin.Sum(time.Minute)
-		h.CacheLookups1m = lookups
-		if lookups > 0 {
-			h.CacheHitRatio1m = float64(absorbed) / float64(lookups)
-		}
 	}
 	h.BurnRate, h.FastBurn, h.SlowBurn = s.slo.Burning()
 	h.FillRuntime()
@@ -522,14 +469,8 @@ func (s *Server) SwapIndex(idx *core.Index) error {
 	if err != nil {
 		return fmt.Errorf("serving: swapping index: %w", err)
 	}
-	gen.seq = s.genSeq.Add(1)
 	old := s.active.Swap(gen)
 	s.swaps.Add(1)
-	if s.cache != nil {
-		// Generation-tagged keys already make stale entries unreachable;
-		// purging eagerly releases their memory at rollover time.
-		s.cache.purge()
-	}
 	old.retire()
 	return nil
 }
@@ -624,7 +565,7 @@ func (s *Server) recommend(req Request, sp *obs.Span, sc *reqScratch) (Response,
 	// Over-fetch so that business-rule filtering can still fill the slot.
 	slot := 2*s.cfg.Recommendations + 1
 
-	raw := s.predict(sp, predictFrom, slot, sc)
+	raw := s.runKernel(sp, predictFrom, slot, sc)
 	out := s.applyRules(req.Item, raw)
 	if len(out) > s.cfg.Recommendations {
 		out = out[:s.cfg.Recommendations]
@@ -642,70 +583,13 @@ func (s *Server) recommend(req Request, sp *obs.Span, sc *reqScratch) (Response,
 	return Response{Items: out, SessionLength: len(evolving)}, nil
 }
 
-// predict computes the raw (uncut, pre-business-rules) prediction into
-// sc.items, which the caller owns and may edit in place. With the result
-// cache enabled the lookup wraps the kernel run: hits and coalesced waits copy
-// the shared entry and bill the lookup to score, while leaders run the kernel
-// and publish its output. It annotates sp with the cache outcome and records
-// the lookup into the rolling hit-ratio window.
-func (s *Server) predict(sp *obs.Span, predictFrom []sessions.ItemID, slot int, sc *reqScratch) []core.ScoredItem {
-	if s.cache == nil {
-		out, _ := s.runKernel(sp, predictFrom, slot, sc)
-		return out
-	}
-	genSeq := s.active.Load().seq
-	key := appendCacheKey(sc.key[:0], s.kernelTail(predictFrom), slot, genSeq)
-	sc.key = key
-	e, outcome := s.cache.acquire(key)
-	s.cacheWin.Add(1, boolLane(outcome != cacheLead), 0)
-	if outcome != cacheLead {
-		if outcome == cacheHit {
-			sp.AddFlags(obs.FlagCacheHit)
-		} else {
-			sp.AddFlags(obs.FlagCacheWaiter)
-		}
-		<-e.done
-		if e.items == nil {
-			// The leader abandoned the entry; compute independently.
-			out, _ := s.runKernel(sp, predictFrom, slot, sc)
-			return out
-		}
-		out := append(sc.items[:0], e.items...)
-		sc.items = out
-		sp.Cut(obs.StageScore)
-		return out
-	}
-	sp.AddFlags(obs.FlagCacheMiss | obs.FlagCacheLeader)
-	filled := false
-	defer func() {
-		if !filled {
-			s.cache.abandon(key, e)
-		}
-	}()
-	out, usedSeq := s.runKernel(sp, predictFrom, slot, sc)
-	// A rollover between key construction and execution means the value
-	// belongs to a different generation than the key names: publish it to
-	// the waiters but do not retain it.
-	s.cache.fill(key, e, out, usedSeq == genSeq)
-	filled = true
-	sp.Cut(obs.StageScore)
-	return out
-}
-
-// boolLane converts a flag to a windowed-counter lane increment.
-func boolLane(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // runKernel is the one place a request runs VMIS-kNN: against a pooled
 // recommender of the active generation, cutting candidates after the
-// neighbour search and score after item scoring. The prediction is copied out
-// of the recommender's reusable buffers into sc.items before the recommender
-// returns to the pool; the second result is the generation that served it.
-func (s *Server) runKernel(sp *obs.Span, predictFrom []sessions.ItemID, slot int, sc *reqScratch) ([]core.ScoredItem, uint64) {
+// neighbour search and score after item scoring. The raw (uncut,
+// pre-business-rules) prediction is copied out of the recommender's reusable
+// buffers into sc.items, which the caller owns and may edit in place, before
+// the recommender returns to the pool.
+func (s *Server) runKernel(sp *obs.Span, predictFrom []sessions.ItemID, slot int, sc *reqScratch) []core.ScoredItem {
 	gen := s.acquireGen()
 	rec := gen.pool.Get().(*core.Recommender)
 	neighbors := rec.NeighborSessions(predictFrom)
@@ -715,23 +599,8 @@ func (s *Server) runKernel(sp *obs.Span, predictFrom []sessions.ItemID, slot int
 	out := append(sc.items[:0], raw...)
 	sc.items = out
 	gen.pool.Put(rec)
-	seq := gen.seq
 	gen.release()
-	return out, seq
-}
-
-// kernelTail truncates an evolving session to the items the kernel actually
-// uses — the cache-key normalisation that lets two long sessions with equal
-// recent tails share an entry.
-func (s *Server) kernelTail(items []sessions.ItemID) []sessions.ItemID {
-	maxLen := s.cfg.Params.MaxSessionLength
-	if maxLen <= 0 {
-		maxLen = core.DefaultMaxSessionLength
-	}
-	if len(items) > maxLen {
-		return items[len(items)-maxLen:]
-	}
-	return items
+	return out
 }
 
 // observeSpan closes a request span: it freezes the total, feeds the
@@ -900,13 +769,6 @@ type Stats struct {
 	IndexHeapBytes   int64 `json:"index_heap_bytes"`
 	IndexMmapBytes   int64 `json:"index_mmap_bytes"`
 	RecommenderBytes int64 `json:"recommender_bytes"`
-	// Result cache counters (all zero when the cache is disabled). Hits are
-	// answered from memory, misses executed the kernel as cache leaders, and
-	// coalesced requests waited on a concurrent identical request.
-	CacheHits      uint64 `json:"cache_hits,omitempty"`
-	CacheMisses    uint64 `json:"cache_misses,omitempty"`
-	CacheCoalesced uint64 `json:"cache_coalesced,omitempty"`
-	CacheEntries   int    `json:"cache_entries,omitempty"`
 	// Stages breaks the request latency down by pipeline stage (stages
 	// with no observations are omitted), attributing tail latency to
 	// session-store access vs index lookup vs scoring vs serialization.
@@ -933,12 +795,6 @@ func (s *Server) Stats() Stats {
 		IndexHeapBytes:   heapBytes,
 		IndexMmapBytes:   mmapBytes,
 		RecommenderBytes: gen.recBytes,
-	}
-	if s.cache != nil {
-		st.CacheHits = s.cache.hits.Load()
-		st.CacheMisses = s.cache.misses.Load()
-		st.CacheCoalesced = s.cache.coalesced.Load()
-		st.CacheEntries = s.cache.len()
 	}
 	for i := range s.stages {
 		snap := s.stages[i].Snapshot()

@@ -757,6 +757,16 @@ func TestTrendingEndpoint(t *testing.T) {
 	if r, _ := http.Get(ts.URL + "/v1/trending?new=1h"); r.StatusCode != http.StatusOK {
 		t.Errorf("new=1h = %d, want 200", r.StatusCode)
 	}
+	prom, err := http.Get(ts.URL + "/metrics.prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := new(bytes.Buffer)
+	body.ReadFrom(prom.Body)
+	prom.Body.Close()
+	if !bytes.Contains(body.Bytes(), []byte("serenade_trending_dropped_total 0\n")) {
+		t.Error("/metrics.prom lacks serenade_trending_dropped_total")
+	}
 
 	// Disabled tracker -> 404.
 	bare := testServer(t, Config{})

@@ -2,7 +2,6 @@ package serving
 
 import (
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -85,10 +84,9 @@ func TestDebugSLOOverAndUnderBudget(t *testing.T) {
 }
 
 // TestHealthSignal checks the overload telemetry surface with every
-// contributor enabled: result cache and the SLO engine.
+// contributor enabled: in-flight requests, the SLO engine and the runtime.
 func TestHealthSignal(t *testing.T) {
 	s := testServer(t, Config{
-		ResultCacheSize:     64,
 		SLOLatencyThreshold: time.Nanosecond, // everything burns
 	})
 	var wg sync.WaitGroup
@@ -104,12 +102,6 @@ func TestHealthSignal(t *testing.T) {
 	wg.Wait()
 
 	h := s.Health()
-	if h.CacheLookups1m == 0 {
-		t.Fatalf("health lost cache lookups: %+v", h)
-	}
-	if h.CacheHitRatio1m <= 0 || h.CacheHitRatio1m > 1 {
-		t.Fatalf("20 identical depersonalised requests should mostly hit: ratio=%v", h.CacheHitRatio1m)
-	}
 	if !h.FastBurn || h.BurnRate < slo.FastBurnRate {
 		t.Fatalf("burn state missing from health: %+v", h)
 	}
@@ -128,48 +120,9 @@ func TestHealthSignal(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&decoded); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"in_flight", "cache_hit_ratio_1m", "slo_burn_rate", "goroutines"} {
+	for _, key := range []string{"in_flight", "slo_burn_rate", "goroutines"} {
 		if _, ok := decoded[key]; !ok {
 			t.Errorf("/debug/health missing %q: %v", key, decoded)
 		}
-	}
-}
-
-// TestCacheFlagsInTraces drives two identical depersonalised requests through
-// a cached server: the first is the single-flight leader (cache_miss), the
-// second a hit, and /debug/traces reports both annotations.
-func TestCacheFlagsInTraces(t *testing.T) {
-	s := testServer(t, Config{ResultCacheSize: 64, TraceSampleEvery: 1})
-	for i := 0; i < 2; i++ {
-		if _, err := s.Recommend(Request{SessionKey: "u", Item: popularItem(), Consent: false}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/debug/traces")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var payload struct {
-		Traces []struct {
-			Flags []string `json:"flags"`
-		} `json:"traces"`
-	}
-	if err := json.Unmarshal(body, &payload); err != nil {
-		t.Fatal(err)
-	}
-	if len(payload.Traces) != 2 {
-		t.Fatalf("got %d traces, want 2", len(payload.Traces))
-	}
-	// Newest first: trace 0 is the second request.
-	if len(payload.Traces[0].Flags) != 1 || payload.Traces[0].Flags[0] != "cache_hit" {
-		t.Errorf("second request flags = %v, want [cache_hit]", payload.Traces[0].Flags)
-	}
-	want := []string{"cache_miss", "cache_leader"}
-	if got := payload.Traces[1].Flags; len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("first request flags = %v, want %v", got, want)
 	}
 }

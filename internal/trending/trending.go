@@ -11,19 +11,32 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"serenade/internal/core"
 	"serenade/internal/sessions"
 )
 
-// Tracker maintains decayed popularity scores. Safe for concurrent use.
+// maxItems caps the items a Tracker holds. Item ids come from clients and
+// are not range-checked (an item the daily index has not seen is exactly
+// what the tracker is for), so without a cap a client cycling ids grows the
+// heap without bound. At the cap Observe does not admit an unseen item; it
+// counts it in Dropped instead, until Compact makes room. One entry costs
+// ~100 B of heap (map slot plus the state it points to; 26.2 MB for a full
+// tracker, measured with go1.24 on amd64), so a full tracker holds ~25 MiB.
+const maxItems = 1 << 18
+
+// Tracker maintains decayed popularity scores for at most maxItems
+// (262,144) items. Safe for concurrent use.
 type Tracker struct {
 	halfLife time.Duration
 	now      func() time.Time
 
 	mu    sync.Mutex
 	items map[sessions.ItemID]*state
+
+	dropped atomic.Uint64
 }
 
 type state struct {
@@ -56,7 +69,8 @@ func (t *Tracker) decayFactor(dt time.Duration) float64 {
 	return math.Exp2(-float64(dt) / float64(t.halfLife))
 }
 
-// Observe records n interactions with an item.
+// Observe records n interactions with an item. An unseen item is dropped
+// when the tracker already holds maxItems.
 func (t *Tracker) Observe(item sessions.ItemID, n int) {
 	if n <= 0 {
 		return
@@ -66,6 +80,10 @@ func (t *Tracker) Observe(item sessions.ItemID, n int) {
 	defer t.mu.Unlock()
 	s, ok := t.items[item]
 	if !ok {
+		if len(t.items) >= maxItems {
+			t.dropped.Add(1)
+			return
+		}
 		s = &state{firstSeen: nowT, lastUpdate: nowT}
 		t.items[item] = s
 	}
@@ -128,7 +146,8 @@ func (t *Tracker) top(n int, keep func(*state) bool) []core.ScoredItem {
 }
 
 // Compact drops items whose decayed score fell below minScore and reports
-// how many were removed; run periodically to bound memory.
+// how many were removed; run periodically, so that items stop being tracked
+// once their clicks have decayed and a full tracker admits new ones again.
 func (t *Tracker) Compact(minScore float64) int {
 	nowT := t.now()
 	t.mu.Lock()
@@ -149,3 +168,6 @@ func (t *Tracker) Len() int {
 	defer t.mu.Unlock()
 	return len(t.items)
 }
+
+// Dropped reports how many unseen items Observe refused at maxItems.
+func (t *Tracker) Dropped() uint64 { return t.dropped.Load() }

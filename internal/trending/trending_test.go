@@ -143,3 +143,38 @@ func TestConcurrentObserve(t *testing.T) {
 		t.Errorf("tracked items = %d, want 20", tr.Len())
 	}
 }
+
+// TestCapDropsUnseenItems fills the tracker past maxItems: the extra ids are
+// dropped and counted, and once their clicks decay, Compact makes room for a
+// new item again.
+func TestCapDropsUnseenItems(t *testing.T) {
+	ck := newClock()
+	tr := New(time.Hour, ck.Now)
+	const extra = 10
+	for i := 0; i < maxItems+extra; i++ {
+		tr.Observe(sessions.ItemID(i), 1)
+	}
+	if got := tr.Len(); got != maxItems {
+		t.Fatalf("Len = %d after %d distinct ids, want the cap %d", got, maxItems+extra, maxItems)
+	}
+	if got := tr.Dropped(); got != extra {
+		t.Fatalf("Dropped = %d, want %d", got, extra)
+	}
+	tr.Observe(0, 1) // a tracked item still counts at the cap
+	if got := tr.Score(0); got != 2 {
+		t.Fatalf("tracked item's score at the cap = %v, want 2", got)
+	}
+
+	fresh := sessions.ItemID(maxItems + extra)
+	ck.Advance(4 * time.Hour) // a single click decays to 1/16
+	if removed := tr.Compact(0.25); removed != maxItems {
+		t.Fatalf("Compact removed %d, want %d", removed, maxItems)
+	}
+	tr.Observe(fresh, 1)
+	if tr.Len() != 1 || tr.Score(fresh) != 1 {
+		t.Fatalf("after Compact: Len = %d, score = %v; want the new item admitted", tr.Len(), tr.Score(fresh))
+	}
+	if got := tr.Dropped(); got != extra {
+		t.Fatalf("Dropped = %d after Compact, want %d", got, extra)
+	}
+}
