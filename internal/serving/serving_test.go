@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -213,6 +214,64 @@ func TestSessionTTLExpiry(t *testing.T) {
 	resp, _ := s.Recommend(Request{SessionKey: "u", Item: 2, Consent: true})
 	if resp.SessionLength != 1 {
 		t.Errorf("session length after expiry = %d, want 1 (fresh session)", resp.SessionLength)
+	}
+}
+
+// TestSweepCompactsWAL: with a store directory the periodic sweep also
+// compacts the session store, so the WAL stops growing with every request
+// ever served, and a restart on the same directory still recovers the live
+// sessions.
+func TestSweepCompactsWAL(t *testing.T) {
+	dir := t.TempDir()
+	walSize := func() int64 {
+		t.Helper()
+		fi, err := os.Stat(filepath.Join(dir, "wal.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	idx := testIndex(t)
+	cfg := Config{Params: core.Params{M: 100, K: 50}, StoreDir: dir}
+	s, err := NewServer(idx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys = 20
+	for i := 0; i < 2000; i++ {
+		key := fmt.Sprintf("u%d", i%keys)
+		if _, err := s.Recommend(Request{SessionKey: key, Item: sessions.ItemID(i % 7), Consent: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := walSize()
+	s.SweepSessions()
+	if after := walSize(); after*10 > before {
+		t.Errorf("WAL is %d bytes after the sweep, %d before: not compacted", after, before)
+	}
+	want := make(map[string][]sessions.ItemID, keys)
+	for i := 0; i < keys; i++ {
+		key := fmt.Sprintf("u%d", i)
+		items, ok := s.SessionState(key)
+		if !ok {
+			t.Fatalf("session %s missing before restart", key)
+		}
+		want[key] = items
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := NewServer(idx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	for key, items := range want {
+		got, ok := s2.SessionState(key)
+		if !ok || !reflect.DeepEqual(got, items) {
+			t.Errorf("session %s after restart = %v (found %v), want %v", key, got, ok, items)
+		}
 	}
 }
 
