@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: verify build vet test race slo-race quality-race bench bench-check kernel-bench index-bench setup-bench slo-bench quality-bench http-bench fuzz-replay cross-build
+.PHONY: verify build vet test race bench bench-check kernel-bench index-bench setup-bench slo-bench quality-bench http-bench fuzz-replay cross-build
 
 verify: build vet test race
 
@@ -19,21 +19,8 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/core ./internal/serving ./internal/obs/... ./internal/metrics ./internal/cluster ./internal/kvstore ./client
+	$(GO) test -race ./internal/core ./internal/serving ./internal/obs/... ./internal/metrics ./internal/cluster ./internal/kvstore ./internal/loadgen ./client
 	$(GO) test -run 'TestHTTPAllocBudgets' ./internal/serving
-
-# The SLO engine and its feeders under the race detector: rolling-window
-# accumulators, burn-rate trackers, tail retention, health snapshots.
-slo-race:
-	$(GO) test -race ./internal/obs/... ./internal/metrics ./internal/serving ./internal/cluster
-
-# The online quality loop under the race detector: exposure recording,
-# click attribution, windowed gauges and drift detection (obs/quality), the
-# click model (loadgen) and the experiment that runs them against serving
-# replicas (experiments).
-quality-race:
-	$(GO) test -race ./internal/obs/quality ./internal/loadgen
-	$(GO) test -race -run 'QualityRun|QualityBaseline|ExposurePipeline' ./internal/experiments
 
 # All microbenchmarks, quick.
 bench: slo-bench
@@ -71,13 +58,12 @@ slo-bench:
 		-rates 200,400 -per-rate 2s | $(GO) run ./tools/benchjson > BENCH_slo.json
 	@echo wrote BENCH_slo.json
 
-# Online-vs-offline quality loop from the click-model harness plus the
-# quality record-path microbenchmarks, committed as the versioned
-# BENCH_quality.json artifact (the BENCHJSON line carries the MRR table).
+# Online-vs-offline quality loop from the click-model harness, committed as
+# the versioned BENCH_quality.json artifact (the BENCHJSON line carries the
+# MRR table; experiments:TestQualityRunMatchesCommitted checks it).
 quality-bench:
-	{ $(GO) run ./cmd/serenade-loadtest -quick -seed 99 -click-model \
-		-click-seed 17 -click-rounds 12 -click-skew 'b=0.7'; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkRecordExposure$$|BenchmarkAttribute' -benchmem ./internal/obs/quality; } \
+	$(GO) run ./cmd/serenade-loadtest -quick -seed 99 -click-model \
+		-click-seed 17 -click-rounds 12 -click-skew 'b=0.7' \
 		| $(GO) run ./tools/benchjson > BENCH_quality.json
 	@echo wrote BENCH_quality.json
 

@@ -1,10 +1,15 @@
-// Command serenade-experiments regenerates the paper's entire evaluation in
-// one run — every table and figure, in order — writing the report to
-// stdout. This is the one-command reproduction script.
+// Command serenade-experiments regenerates the paper's evaluation — every
+// table and figure, in order — writing the report to stdout. This is the
+// one-command reproduction script; -run picks single steps.
 //
-//	serenade-experiments            # full-size (minutes)
-//	serenade-experiments -quick     # shrunk datasets (tens of seconds)
-//	serenade-experiments -skip grid,abtest
+//	serenade-experiments                        # full-size (minutes)
+//	serenade-experiments -quick                 # shrunk datasets (tens of seconds)
+//	serenade-experiments -run quality           # §5.1.1 vs GRU4Rec/NARM/STAMP
+//	serenade-experiments -run grid -profile rsc15-sim   # Figure 2
+//	serenade-experiments -quick -run extensions,micro
+//
+// Steps: table1, quality, grid, implementations, micro, loadtest, abtest,
+// kv, scaling, extensions, complexity.
 package main
 
 import (
@@ -12,6 +17,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -23,24 +29,19 @@ func main() {
 	log.SetPrefix("serenade-experiments: ")
 
 	var (
-		quick = flag.Bool("quick", false, "shrink datasets and sweeps")
-		seed  = flag.Int64("seed", 0, "random seed override")
-		skip  = flag.String("skip", "", "comma-separated experiments to skip (table1,quality,grid,implementations,micro,loadtest,abtest,kv,scaling,extensions,complexity)")
+		quick   = flag.Bool("quick", false, "shrink datasets and sweeps")
+		seed    = flag.Int64("seed", 0, "random seed override")
+		run     = flag.String("run", "", "comma-separated steps to run, in suite order (empty = all): table1,quality,grid,implementations,micro,loadtest,abtest,kv,scaling,extensions,complexity")
+		profile = flag.String("profile", "ecom-1m-sim", "dataset profile for the grid sweep")
 	)
 	flag.Parse()
 	opts := experiments.Options{Quick: *quick, Seed: *seed}
 
-	skipped := map[string]bool{}
-	for _, s := range strings.Split(*skip, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			skipped[s] = true
-		}
-	}
-
-	steps := []struct {
+	type step struct {
 		name string
 		run  func() error
-	}{
+	}
+	steps := []step{
 		{"table1", func() error {
 			rows, err := experiments.Table1(opts)
 			if err != nil {
@@ -58,11 +59,11 @@ func main() {
 			return nil
 		}},
 		{"grid", func() error {
-			cells, err := experiments.Grid("ecom-1m-sim", opts)
+			cells, err := experiments.Grid(*profile, opts)
 			if err != nil {
 				return err
 			}
-			experiments.PrintGrid(os.Stdout, "ecom-1m-sim", cells)
+			experiments.PrintGrid(os.Stdout, *profile, cells)
 			return nil
 		}},
 		{"implementations", func() error {
@@ -139,10 +140,21 @@ func main() {
 		}},
 	}
 
+	selected := map[string]bool{}
+	for _, name := range strings.Split(*run, ",") {
+		if name = strings.TrimSpace(name); name != "" {
+			selected[name] = true
+		}
+	}
+	for name := range selected {
+		if !slices.ContainsFunc(steps, func(st step) bool { return st.name == name }) {
+			log.Fatalf("unknown step %q in -run", name)
+		}
+	}
+
 	start := time.Now()
 	for _, step := range steps {
-		if skipped[step.name] {
-			fmt.Printf("== %s: skipped ==\n\n", step.name)
+		if len(selected) > 0 && !selected[step.name] {
 			continue
 		}
 		fmt.Printf("== %s ==\n", step.name)

@@ -12,12 +12,13 @@
 // versioned BENCH_slo.json artifact.
 //
 // -click-model runs the online quality loop instead: one replica per
-// -click-variants arm replays the labelled test workload, each response is
-// recorded as an exposure on the arm's click-attribution tracker, a seeded
-// position-biased click model simulates the feedback, and the run prints the online-vs-offline MRR table plus a
-// `BENCHJSON quality <json>` line (the BENCH_quality.json artifact). The
-// click stream is a pure function of -click-seed and the (session, step,
-// variant) identities, so a fixed seed reproduces the numbers exactly.
+// -click-variants arm replays the labelled test workload, a seeded
+// position-biased click model decides whether each response's true next
+// item is clicked, exposures and clicks are tallied per pipeline line, and
+// the run prints the online-vs-offline MRR table plus a `BENCHJSON quality
+// <json>` line (the BENCH_quality.json artifact). The click stream is a
+// pure function of -click-seed and the (session, step, variant)
+// identities, so a fixed seed reproduces the numbers exactly.
 package main
 
 import (

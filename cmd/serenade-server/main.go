@@ -241,8 +241,9 @@ func main() {
 		}
 	}()
 
-	// Periodic session expiry, mirroring the 30-minute RocksDB TTL, and
-	// trending compaction, which keeps a full tracker admitting new items.
+	// Periodic session expiry, mirroring the 30-minute RocksDB TTL, with
+	// WAL compaction under -store-dir, and trending compaction, which keeps
+	// a full tracker admitting new items.
 	sweepDone := make(chan struct{})
 	go func() {
 		ticker := time.NewTicker(time.Minute)

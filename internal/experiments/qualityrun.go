@@ -7,17 +7,15 @@ import (
 
 	"serenade/internal/core"
 	"serenade/internal/loadgen"
-	"serenade/internal/obs/quality"
 	"serenade/internal/rank"
 	"serenade/internal/serving"
 	"serenade/internal/sessions"
 )
 
-// QualityRunConfig drives the online quality loop: one serving replica and
-// one click-attribution tracker per variant, fed the labelled test workload
-// through a seeded position-biased click model, with the attributed
-// feedback compared against the offline baseline the same evaluation
-// protocol produces.
+// QualityRunConfig drives the online quality loop: one serving replica per
+// variant, fed the labelled test workload through a seeded position-biased
+// click model, with the tallied clicks compared against the offline
+// baseline the same evaluation protocol produces.
 type QualityRunConfig struct {
 	// Variants are the A/B arms to simulate; empty means {"a", "b"}.
 	Variants []string
@@ -40,7 +38,7 @@ type QualityRunRow struct {
 	Clicks    uint64  `json:"clicks"`
 	CTR       float64 `json:"ctr"`
 	// OnlineMRR is the inverse-propensity-weighted estimate recovered from
-	// attributed click ranks; with enough exposures it converges to
+	// click ranks; with enough exposures it converges to
 	// OfflineMRR, which is the loop's tolerance check.
 	OnlineMRR  float64 `json:"online_mrr"`
 	OfflineMRR float64 `json:"offline_mrr"`
@@ -55,11 +53,44 @@ type QualityRunRow struct {
 
 // QualityRunResult is the full harness output.
 type QualityRunResult struct {
-	Profile  string            `json:"profile"`
-	Steps    int               `json:"steps"`
-	Rounds   int               `json:"rounds"`
-	Baseline *quality.Baseline `json:"baseline"`
-	Rows     []QualityRunRow   `json:"rows"`
+	Profile  string          `json:"profile"`
+	Steps    int             `json:"steps"`
+	Rounds   int             `json:"rounds"`
+	Baseline *Baseline       `json:"baseline"`
+	Rows     []QualityRunRow `json:"rows"`
+}
+
+// Baseline is the offline quality snapshot the online tallies are compared
+// against. The quality experiment computes it by replaying the same
+// labelled workload through the serving pipeline, so the reference
+// distribution is the recommender as it actually evaluated — not a
+// hand-maintained constant.
+type Baseline struct {
+	// Profile names the dataset profile the baseline was evaluated on.
+	Profile string `json:"profile,omitempty"`
+	// K is the cutoff the baseline was computed at.
+	K int `json:"k"`
+	// MRR and HitRate are the offline MRR@k / HitRate@k over all events.
+	MRR     float64 `json:"mrr"`
+	HitRate float64 `json:"hit_rate"`
+	// CondMRR is the MRR conditioned on a hit (MRR / HitRate): the expected
+	// reciprocal rank given the clicked item appeared in the list. The online
+	// side can measure this without knowing the propensity of a click,
+	// which makes it the primary drift statistic.
+	CondMRR float64 `json:"cond_mrr"`
+	// RankDist is P(rank | hit) for ranks 1..K — the shape statistic the
+	// total-variation drift check compares against.
+	RankDist []float64 `json:"rank_dist,omitempty"`
+	// Coverage and MeanPopularity summarise the Ludewig & Jannach companion
+	// metrics at evaluation time.
+	Coverage       float64 `json:"coverage,omitempty"`
+	MeanPopularity float64 `json:"mean_popularity,omitempty"`
+	// TopScoreP50 is the median top-1 recommendation score.
+	TopScoreP50 float64 `json:"top_score_p50,omitempty"`
+	// Events is the number of prediction events behind the snapshot.
+	Events int `json:"events"`
+	// GeneratedAt is an informational timestamp string set by the emitter.
+	GeneratedAt string `json:"generated_at,omitempty"`
 }
 
 // qualityServingConfig is the serving configuration both the offline
@@ -85,7 +116,7 @@ func trainPopularity(train *sessions.Dataset) map[sessions.ItemID]float64 {
 // reference. This is the exact protocol of evaluate() but routed through
 // serving.Server, so the baseline reflects the production pipeline rather
 // than the bare recommender.
-func offlineBaseline(idx *core.Index, steps []loadgen.ClickStep, profile string, pop map[sessions.ItemID]float64, catalogSize int) (*quality.Baseline, error) {
+func offlineBaseline(idx *core.Index, steps []loadgen.ClickStep, profile string, pop map[sessions.ItemID]float64, catalogSize int) (*Baseline, error) {
 	srv, err := serving.NewServer(idx, qualityServingConfig())
 	if err != nil {
 		return nil, err
@@ -125,7 +156,7 @@ func offlineBaseline(idx *core.Index, steps []loadgen.ClickStep, profile string,
 	if events == 0 {
 		return nil, fmt.Errorf("experiments: no labelled steps in quality workload")
 	}
-	base := &quality.Baseline{
+	base := &Baseline{
 		Profile:     profile,
 		K:           k,
 		MRR:         rrSum / float64(events),
@@ -147,8 +178,8 @@ func offlineBaseline(idx *core.Index, steps []loadgen.ClickStep, profile string,
 
 // QualityRun closes the loop end to end: compute the offline baseline, then
 // replay the same labelled workload against one replica per variant with
-// simulated position-biased clicks attributed by a tracker, and report
-// per-variant online gauges next to the offline reference.
+// simulated position-biased clicks, and report each variant's click
+// tallies next to the offline reference.
 func QualityRun(cfg QualityRunConfig, opts Options) (*QualityRunResult, error) {
 	profile := "ecom-60m-sim"
 	if opts.Quick {
@@ -188,7 +219,7 @@ func QualityRun(cfg QualityRunConfig, opts Options) (*QualityRunResult, error) {
 	}
 
 	for _, variant := range cfg.Variants {
-		row, err := runVariant(idx, steps, variant, cfg, base, pop, train.NumItems)
+		row, err := runVariant(idx, steps, variant, cfg, base)
 		if err != nil {
 			return nil, err
 		}
@@ -197,8 +228,8 @@ func QualityRun(cfg QualityRunConfig, opts Options) (*QualityRunResult, error) {
 	return res, nil
 }
 
-// pipelines are the tracker lines a served list is attributed to, created
-// in this order so every run sums the lines in the same order.
+// pipelines are the lines a served list is counted on, in the order every
+// run sums them.
 var pipelines = [...]string{"knn", "knn+popular", "depersonalised"}
 
 // exposurePipeline names the path that shaped a served list. Consent denial
@@ -215,25 +246,101 @@ func exposurePipeline(consent bool, items []core.ScoredItem) string {
 	return "knn"
 }
 
-// runVariant replays the workload against one serving replica, records each
-// response as an exposure on the variant's tracker, rolls the click model
-// on the rank of the true next item and attributes the resulting click
-// back to its exposure.
-func runVariant(idx *core.Index, steps []loadgen.ClickStep, variant string, cfg QualityRunConfig, base *quality.Baseline, pop map[sessions.ItemID]float64, catalogSize int) (QualityRunRow, error) {
+// Drift rules: a line needs minDriftClicks clicks before its click-rank
+// distribution (total variation above maxRankTV) or its per-click MRR
+// (below minMRRRatio of the baseline's) can flag drift.
+const (
+	maxRankTV      = 0.35
+	minMRRRatio    = 0.5
+	minDriftClicks = 30
+)
+
+// lineTally is one pipeline line's totals over a whole replay.
+type lineTally struct {
+	exposures uint64
+	clicks    uint64
+	// ranks counts clicks by rank 1..K.
+	ranks *rank.Histogram
+	// rrMicros sums 1e6/rank over clicks.
+	rrMicros uint64
+}
+
+// condMRR is the line's mean reciprocal rank per click.
+func (l *lineTally) condMRR() float64 {
+	if l.clicks == 0 {
+		return 0
+	}
+	return float64(l.rrMicros) / 1e6 / float64(l.clicks)
+}
+
+// lineDrift is one line's drift verdict and the statistics behind it.
+type lineDrift struct {
+	drifting bool
+	// reason names the tripped rule, rank_tv or mrr_ratio.
+	reason string
+	// rankTV and mrrRatio stay 0 below minDriftClicks.
+	rankTV   float64
+	mrrRatio float64
+}
+
+// drift compares a line's tallies with the baseline.
+func (l *lineTally) drift(base *Baseline) lineDrift {
+	var d lineDrift
+	if l.clicks < minDriftClicks {
+		return d
+	}
+	if len(base.RankDist) > 0 {
+		d.rankTV = rank.TotalVariation(l.ranks.Dist(), base.RankDist)
+		if d.rankTV > maxRankTV {
+			d.drifting, d.reason = true, "rank_tv"
+		}
+	}
+	if base.CondMRR > 0 {
+		d.mrrRatio = l.condMRR() / base.CondMRR
+		if !d.drifting && d.mrrRatio < minMRRRatio {
+			d.drifting, d.reason = true, "mrr_ratio"
+		}
+	}
+	return d
+}
+
+// driftWorse orders line verdicts by severity: a drifting line beats a
+// healthy one; among drifting lines the lower MRR ratio (or, at equal
+// ratios, the higher TV) is worse; among healthy lines the higher TV is.
+func driftWorse(a, b lineDrift) bool {
+	if a.drifting != b.drifting {
+		return a.drifting
+	}
+	if a.drifting && a.mrrRatio != b.mrrRatio {
+		return a.mrrRatio < b.mrrRatio
+	}
+	return a.rankTV > b.rankTV
+}
+
+// worstDrift is the verdict of the worst line, taking the lines in
+// pipelines order so that a tie goes to the earlier line.
+func worstDrift(lines map[string]*lineTally, base *Baseline) lineDrift {
+	var worst lineDrift
+	for i, p := range pipelines {
+		if d := lines[p].drift(base); i == 0 || driftWorse(d, worst) {
+			worst = d
+		}
+	}
+	return worst
+}
+
+// runVariant replays the workload against one serving replica, counts each
+// response as an exposure on its pipeline's line, rolls the click model on
+// the rank of the true next item and counts the click on the same line.
+func runVariant(idx *core.Index, steps []loadgen.ClickStep, variant string, cfg QualityRunConfig, base *Baseline) (QualityRunRow, error) {
 	srv, err := serving.NewServer(idx, qualityServingConfig())
 	if err != nil {
 		return QualityRunRow{}, err
 	}
 	defer srv.Close()
-	tr := quality.New(quality.Options{
-		Variant:     variant,
-		Baseline:    base,
-		K:           base.K,
-		CatalogSize: catalogSize,
-		Popularity:  func(it sessions.ItemID) float64 { return pop[it] },
-	})
+	lines := make(map[string]*lineTally, len(pipelines))
 	for _, p := range pipelines {
-		tr.Line(p)
+		lines[p] = &lineTally{ranks: rank.NewHistogram(base.K)}
 	}
 
 	for round := 0; round < cfg.Rounds; round++ {
@@ -251,45 +358,40 @@ func runVariant(idx *core.Index, steps []loadgen.ClickStep, variant string, cfg 
 			if err != nil {
 				return QualityRunRow{}, err
 			}
-			id := tr.RecordExposure(tr.Line(exposurePipeline(req.Consent, resp.Items)), resp.Items)
+			ln := lines[exposurePipeline(req.Consent, resp.Items)]
+			ln.exposures++
 			r := st.RankOfNext(resp.Items)
 			if r > 0 && cfg.Model.Clicks(req.SessionKey, st.Step, variant, r) {
-				tr.Attribute(id, st.Next, false)
+				ln.clicks++
+				ln.ranks.Add(r)
+				ln.rrMicros += uint64(1e6 * rank.Reciprocal(r))
 			}
 		}
 	}
 
-	snap := tr.Snapshot()
 	row := QualityRunRow{Variant: variant, OfflineMRR: base.MRR}
-	rankClicks := make([]uint64, base.K)
-	var rrSum float64
-	for _, ln := range snap.Lines {
-		row.Exposures += ln.Cumulative.Exposures
-		row.Clicks += ln.Cumulative.Clicks
-		for i, c := range ln.RankClicks {
-			if i < len(rankClicks) {
-				rankClicks[i] += c
-			}
+	all := lineTally{ranks: rank.NewHistogram(base.K)}
+	for _, p := range pipelines {
+		ln := lines[p]
+		all.exposures += ln.exposures
+		all.clicks += ln.clicks
+		all.rrMicros += ln.rrMicros
+		for r, c := range ln.ranks.Counts {
+			all.ranks.Counts[r] += c
 		}
-		// The horizon window still holds the whole replay, so its per-click
-		// reciprocal-rank mass aggregates across lines.
-		hw := ln.Windows[len(ln.Windows)-1]
-		rrSum += hw.CondMRR * float64(hw.Clicks)
 	}
+	row.Exposures, row.Clicks, row.CondMRR = all.exposures, all.clicks, all.condMRR()
 	if row.Exposures > 0 {
 		row.CTR = float64(row.Clicks) / float64(row.Exposures)
 	}
-	if row.Clicks > 0 {
-		row.CondMRR = rrSum / float64(row.Clicks)
-	}
-	row.OnlineMRR = cfg.Model.UnbiasedMRR(rankClicks, row.Exposures, variant)
+	row.OnlineMRR = cfg.Model.UnbiasedMRR(all.ranks.Counts, row.Exposures, variant)
 	if row.OfflineMRR > 0 {
 		row.DeltaPct = (row.OnlineMRR - row.OfflineMRR) / row.OfflineMRR * 100
 	}
-	drift := tr.Drift()
-	row.RankTV = drift.RankTV
-	row.Drift = drift.Drifting
-	row.DriftReason = drift.Reason
+	worst := worstDrift(lines, base)
+	row.RankTV = worst.rankTV
+	row.Drift = worst.drifting
+	row.DriftReason = worst.reason
 	return row, nil
 }
 

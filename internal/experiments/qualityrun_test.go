@@ -110,3 +110,60 @@ func TestQualityRankTVCoversEveryClick(t *testing.T) {
 		}
 	}
 }
+
+// tally is a line whose every exposure was clicked, counts[i] of them at
+// rank i+1.
+func tally(counts ...int) *lineTally {
+	ln := &lineTally{ranks: rank.NewHistogram(5)}
+	for i, n := range counts {
+		for ; n > 0; n-- {
+			ln.exposures++
+			ln.clicks++
+			ln.ranks.Add(i + 1)
+			ln.rrMicros += uint64(1e6 * rank.Reciprocal(i+1))
+		}
+	}
+	return ln
+}
+
+// TestLineDrift covers the drift rules and the worst-line order: a line
+// needs 30 clicks before its rank distribution (TV above 0.35) or its
+// per-click MRR (below half the baseline's) can flag drift; a drifting line
+// beats a healthy one, the lower MRR ratio beats a higher one, and among
+// healthy lines the higher TV is reported.
+func TestLineDrift(t *testing.T) {
+	shape := &Baseline{K: 5, CondMRR: 1, RankDist: []float64{1, 0, 0, 0, 0}}
+	noShape := &Baseline{K: 5, CondMRR: 1}
+	for _, tc := range []struct {
+		name  string
+		base  *Baseline
+		lines map[string]*lineTally
+		want  lineDrift
+	}{
+		{"rank_tv", shape, map[string]*lineTally{"knn": tally(0, 40)},
+			lineDrift{drifting: true, reason: "rank_tv", rankTV: 1, mrrRatio: 0.5}},
+		{"mrr_ratio", noShape, map[string]*lineTally{"knn": tally(0, 0, 0, 40)},
+			lineDrift{drifting: true, reason: "mrr_ratio", mrrRatio: 0.25}},
+		{"below_click_gate", shape, map[string]*lineTally{"knn": tally(0, 0, 0, 29)},
+			lineDrift{}},
+		{"healthy", shape, map[string]*lineTally{"knn": tally(40)},
+			lineDrift{mrrRatio: 1}},
+		{"worst_line", shape, map[string]*lineTally{"knn": tally(40), "depersonalised": tally(0, 0, 0, 40)},
+			lineDrift{drifting: true, reason: "rank_tv", rankTV: 1, mrrRatio: 0.25}},
+		{"lowest_mrr_ratio", shape, map[string]*lineTally{"knn": tally(0, 0, 0, 40), "knn+popular": tally(0, 40)},
+			lineDrift{drifting: true, reason: "rank_tv", rankTV: 1, mrrRatio: 0.25}},
+		{"highest_tv_when_healthy", shape, map[string]*lineTally{"knn": tally(40), "knn+popular": tally(35, 5)},
+			lineDrift{rankTV: 0.125, mrrRatio: 0.9375}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, p := range pipelines {
+				if tc.lines[p] == nil {
+					tc.lines[p] = tally()
+				}
+			}
+			if got := worstDrift(tc.lines, tc.base); got != tc.want {
+				t.Errorf("worstDrift = %+v, want %+v", got, tc.want)
+			}
+		})
+	}
+}

@@ -6,8 +6,7 @@ import (
 )
 
 // windowLanes is the number of independent counters a WindowedCounter tracks
-// per time bucket. Three lanes cover every current use: the SLO engine
-// records (total, slow, error) per request.
+// per time bucket: the SLO engine records (total, slow, error) per request.
 const windowLanes = 3
 
 // winBucket is one second of windowed counts. stamp is the unix second the
@@ -23,8 +22,8 @@ type winBucket struct {
 
 // WindowedCounter is a rolling multi-window counter: a ring of per-second
 // buckets covering a fixed horizon, from which the counts of any trailing
-// window up to the horizon can be summed. It is the accumulator beneath the
-// SLO engine's burn rates and the quality tracker's windowed gauges.
+// window up to the horizon can be summed. Its one user is the SLO engine,
+// whose burn rates it accumulates.
 //
 // Add is wait-free and allocation-free: one atomic stamp check (plus a CAS
 // when the bucket rolls into a new second) and one atomic add per lane. A

@@ -7,8 +7,7 @@ import (
 // Stage identifies one timed segment of a request. The taxonomy follows the
 // serving pipeline of §4: read/update the evolving session in the local
 // store, select candidate neighbour sessions from the index, score their
-// items, apply the business-rule filters, and serialise the response. A
-// cross-shard hop through the cluster proxy is attributed to StageProxy.
+// items, apply the business-rule filters, and serialise the response.
 type Stage uint8
 
 const (
@@ -17,12 +16,11 @@ const (
 	StageScore                   // item scoring + top-k selection
 	StageFilter                  // business rules + popularity fallback
 	StageEncode                  // response serialisation
-	StageProxy                   // cross-shard proxy hop
 	NumStages
 )
 
 var stageNames = [NumStages]string{
-	"store", "candidates", "score", "filter", "encode", "proxy",
+	"store", "candidates", "score", "filter", "encode",
 }
 
 // String returns the stage's stable, scrape-friendly name.
@@ -66,20 +64,6 @@ func (sp *Span) Cut(st Stage) {
 	now := nowMono()
 	sp.Stages[st] += now.Sub(sp.cursor)
 	sp.cursor = now
-}
-
-// Skip advances the cursor without attributing the elapsed segment to any
-// stage — for bookkeeping the trace should not bill to the next stage.
-func (sp *Span) Skip() {
-	sp.cursor = nowMono()
-}
-
-// Observe adds an externally measured duration to a stage (used by the
-// proxy tier, whose hop time is measured around a whole downstream call).
-func (sp *Span) Observe(st Stage, d time.Duration) {
-	if d > 0 {
-		sp.Stages[st] += d
-	}
 }
 
 // SetError records the request's error class (e.g. "store", "bad_request").

@@ -1,8 +1,8 @@
 // Package rank holds the ranking-math primitives shared by the offline
-// evaluators (internal/metrics, internal/experiments, internal/abtest) and
-// the online quality experiment's tracker (internal/obs/quality):
-// first-occurrence rank lookup, reciprocal-rank, catalogue coverage,
-// quantiles, rank histograms and distribution distance. Keeping one implementation is the point — the
+// evaluators (internal/metrics, internal/abtest) and the online quality
+// experiment (internal/experiments): first-occurrence rank lookup,
+// reciprocal-rank, catalogue coverage, quantiles, rank histograms and
+// distribution distance. Keeping one implementation is the point — the
 // online MRR estimator must agree bit-for-bit with the offline MRR@k it is
 // compared against, or "drift" becomes an artefact of divergent math.
 package rank

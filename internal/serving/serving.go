@@ -726,15 +726,20 @@ func (s *Server) SessionState(key string) ([]sessions.ItemID, bool) {
 }
 
 // SweepSessions evicts expired session state, mirroring the 30-minute
-// RocksDB TTL; serving machines call it periodically.
+// RocksDB TTL, and compacts the store's WAL down to the live sessions (a
+// no-op without StoreDir); serving machines call it periodically. A failed
+// compaction is logged and leaves the store writable on its old WAL.
 func (s *Server) SweepSessions() int {
-	return s.store.Sweep()
+	n := s.store.Sweep()
+	if err := s.store.Compact(); err != nil {
+		logger := s.cfg.Logger
+		if logger == nil {
+			logger = slog.Default()
+		}
+		logger.Error("session store compaction failed", "err", err)
+	}
+	return n
 }
-
-// LatencyHistogram returns a snapshot of the server-side request latency
-// distribution. (It is a merged copy of the striped recording state: safe
-// to query at leisure, but later requests require a fresh snapshot.)
-func (s *Server) LatencyHistogram() *metrics.Histogram { return s.requests.Snapshot() }
 
 // StageStats is one pipeline stage's latency summary in Stats.
 type StageStats struct {
