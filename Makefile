@@ -76,15 +76,16 @@ http-bench:
 	@echo wrote BENCH_http.json
 
 # Replay the fuzz seed corpora without fuzzing: the index loader's on-disk
-# format, the fastjson scanner differential, and the serving codec's
-# schema-level differential against encoding/json.
+# format, the fastjson scanner differential, the serving codec's
+# schema-level differential against encoding/json, and the session store's
+# WAL and snapshot recovery.
 fuzz-replay:
-	$(GO) test -run 'Fuzz' ./internal/index ./internal/fastjson ./internal/serving
+	$(GO) test -run 'Fuzz' ./internal/index ./internal/fastjson ./internal/serving ./internal/kvstore
 
-# Compile the index loader's fallback paths, which no linux/amd64 build
-# reaches: the platform without mmap (mmap_other.go, which reads the file
-# into a heap arena) and a big-endian host (parseV2's copying section
-# decoders).
+# Compile the fallback paths no linux/amd64 build reaches: the platform
+# without mmap (the index loader's mmap_other.go, which reads the file into
+# a heap arena, and kvstore's slab_other.go, which takes slabs from the
+# heap) and a big-endian host (parseV2's copying section decoders).
 cross-build:
 	GOOS=windows $(GO) build ./...
 	GOARCH=s390x $(GO) vet ./internal/index

@@ -241,28 +241,28 @@ func main() {
 		}
 	}()
 
-	// Periodic session expiry, mirroring the 30-minute RocksDB TTL, with
-	// WAL compaction under -store-dir, and trending compaction, which keeps
-	// a full tracker admitting new items.
-	sweepDone := make(chan struct{})
+	// Once a minute: WAL compaction under -store-dir, and trending
+	// compaction, which keeps a full tracker admitting new items. Expired
+	// sessions need no pass; the store frees them as it writes.
+	compactDone := make(chan struct{})
 	go func() {
 		ticker := time.NewTicker(time.Minute)
 		defer ticker.Stop()
 		for {
 			select {
 			case <-ticker.C:
-				if n := srv.SweepSessions(); n > 0 {
-					log.Printf("swept %d expired sessions", n)
+				if err := srv.CompactSessions(); err != nil {
+					logger.Error("session store compaction failed", "err", err)
 				}
 				if tracker != nil {
 					tracker.Compact(trendingMinScore)
 				}
-			case <-sweepDone:
+			case <-compactDone:
 				return
 			}
 		}
 	}()
-	defer close(sweepDone)
+	defer close(compactDone)
 
 	// Profiling endpoints live on their own listener so they are never
 	// reachable through the public serving address: CPU and allocation

@@ -187,6 +187,101 @@ func TestCompactLostUpdateReproducer(t *testing.T) {
 	}
 }
 
+// holdCompact arms FailCompactSnapshotWrite, which Compact passes halfway
+// through its shard-by-shard copy, to park Compact there. held is closed
+// once Compact is parked; closing release lets it continue.
+func holdCompact(t *testing.T) (held, release chan struct{}) {
+	t.Helper()
+	held, release = make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	failpoint.Enable(FailCompactSnapshotWrite, func() error {
+		once.Do(func() {
+			close(held)
+			<-release
+		})
+		return nil
+	})
+	return held, release
+}
+
+// TestCompactDoesNotStallWrites: Compact holds the exclusive commit lock
+// only to record its WAL cut, so writes to every shard — copied already or
+// not yet — return while Compact is parked mid-copy, and recovery from the
+// snapshot plus the WAL after the cut finds each of them.
+func TestCompactDoesNotStallWrites(t *testing.T) {
+	defer failpoint.DisableAll()
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir, Sync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for i := 0; i < 64; i++ {
+		key := fmt.Sprintf("before%d", i)
+		if err := s.Put(key, []byte(key)); err != nil {
+			t.Fatal(err)
+		}
+		want[key] = key
+	}
+
+	held, release := holdCompact(t)
+	compactDone := make(chan error, 1)
+	go func() { compactDone <- s.Compact() }()
+	<-held
+
+	writesDone := make(chan error, 1)
+	go func() {
+		for i := 0; i < 64; i++ {
+			key := fmt.Sprintf("during%d", i)
+			if err := s.Put(key, []byte(key)); err != nil {
+				writesDone <- err
+				return
+			}
+			if err := s.Put(fmt.Sprintf("before%d", i), []byte(key)); err != nil {
+				writesDone <- err
+				return
+			}
+		}
+		writesDone <- s.Delete("before0")
+	}()
+	select {
+	case err := <-writesDone:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("writes stalled behind a Compact parked mid-copy")
+	}
+	for i := 0; i < 64; i++ {
+		key := fmt.Sprintf("during%d", i)
+		want[key] = key
+		want[fmt.Sprintf("before%d", i)] = key
+	}
+	delete(want, "before0")
+	close(release)
+	if err := <-compactDone; err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	s2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	for k, v := range want {
+		if got, ok := s2.Get(k); !ok || string(got) != v {
+			t.Errorf("%s = %q,%v after recovery, want %q", k, got, ok, v)
+		}
+	}
+	if _, ok := s2.Get("before0"); ok {
+		t.Error("key deleted during Compact resurrected")
+	}
+	if s2.Len() != len(want) {
+		t.Errorf("recovered %d records, want %d", s2.Len(), len(want))
+	}
+}
+
 // TestCompactFailureKeepsStoreWritable: every Compact error path must leave
 // the old WAL handle open and the store fully writable (the pre-fix code
 // closed the WAL before the swap, so a rename or reopen failure bricked all
@@ -238,12 +333,11 @@ func TestCompactFailureKeepsStoreWritable(t *testing.T) {
 	}
 }
 
-// TestConcurrentWritesSweepCompactFlusher exercises the full concurrency
-// surface — Put/Get/Delete under the shared commit lock, Sweep, repeated
-// Compacts and the group-commit flusher — and then verifies every
-// acknowledged final value after a clean close and recovery. Run under
-// -race via `make race`.
-func TestConcurrentWritesSweepCompactFlusher(t *testing.T) {
+// TestConcurrentWritesCompactFlusher exercises the full concurrency
+// surface — Put/Get/Delete under the shared commit lock, repeated Compacts
+// and the group-commit flusher — and then verifies every acknowledged final
+// value after a clean close and recovery. Run under -race via `make race`.
+func TestConcurrentWritesCompactFlusher(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Options{Dir: dir, Sync: SyncInterval, SyncInterval: time.Millisecond})
 	if err != nil {
@@ -296,7 +390,6 @@ func TestConcurrentWritesSweepCompactFlusher(t *testing.T) {
 					t.Errorf("compact: %v", err)
 					return
 				}
-				s.Sweep()
 				time.Sleep(2 * time.Millisecond)
 			}
 		}

@@ -9,7 +9,9 @@
 // inactivity (30 minutes in production). The store is a sharded in-memory
 // hash table with an append-only WAL and snapshot compaction; it is not an
 // LSM tree because the paper's workload (small values, hot working set,
-// aggressive TTL) never accumulates data beyond memory.
+// aggressive TTL) never accumulates data beyond memory. The table keeps its
+// records in slabs outside the Go heap (table.go), and expiry is amortised
+// over writes: nothing ever walks the whole table.
 //
 // Durability contract: a Put or Delete that returns nil is recoverable after
 // a crash, subject to the WAL sync policy — immediately with SyncAlways,
@@ -24,7 +26,6 @@
 package kvstore
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -141,26 +142,11 @@ type Options struct {
 	Now func() time.Time
 }
 
-type entry struct {
-	value      []byte
-	lastAccess int64 // unix nanoseconds
-}
-
-type shard struct {
-	mu sync.RWMutex
-	m  map[string]entry
-}
-
-// kvPair is one memtable entry captured for snapshot serialization.
-type kvPair struct {
-	key string
-	e   entry
-}
-
 // Store is a TTL key-value store, safe for concurrent use.
 type Store struct {
 	opts   Options
 	shards []*shard
+	tab    *table
 	seed   maphash.Seed
 
 	ops opCounters
@@ -176,14 +162,6 @@ type Store struct {
 
 	// compactMu serializes whole Compact calls (their temp files collide).
 	compactMu sync.Mutex
-
-	// snapshotting is true while Compact serializes its memtable cut off the
-	// write path. The cut shares value backing with live entries, so Put's
-	// in-place buffer reuse is suspended (fresh allocations only) for the
-	// duration. Set before the cut's commitMu release, so commitMu ordering
-	// makes it visible to every Put that can run concurrently with
-	// serialization.
-	snapshotting atomic.Bool
 
 	// walMu protects the WAL handle and its append/sync bookkeeping.
 	walMu   sync.Mutex
@@ -212,8 +190,9 @@ type opCounters struct {
 }
 
 // Metrics is a snapshot of the store's operation counters. Evictions count
-// entries dropped for TTL expiry, whether during Sweep or lazily on read —
-// the session-loss signal a Serenade operator watches next to request rate.
+// entries dropped for TTL expiry, by a write's expiry cursor or lazily on
+// read — the session-loss signal a Serenade operator watches next to
+// request rate.
 type Metrics struct {
 	Gets      uint64
 	Hits      uint64
@@ -285,41 +264,65 @@ func Open(opts Options) (*Store, error) {
 	if opts.SyncInterval <= 0 {
 		opts.SyncInterval = DefaultSyncInterval
 	}
-	s := &Store{opts: opts, seed: maphash.MakeSeed()}
+	s := &Store{opts: opts, tab: newTable(opts.TTL), seed: maphash.MakeSeed()}
 	s.shards = make([]*shard, opts.Shards)
 	for i := range s.shards {
-		s.shards[i] = &shard{m: make(map[string]entry)}
+		s.shards[i] = newShard(s.tab)
 	}
 	if opts.Dir == "" {
 		return s, nil
 	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("kvstore: creating dir: %w", err)
+	if err := s.openDir(); err != nil {
+		s.unmapTable()
+		return nil, err
+	}
+	return s, nil
+}
+
+// openDir recovers the store from Options.Dir and opens its WAL for appends.
+func (s *Store) openDir() error {
+	dir := s.opts.Dir
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("kvstore: creating dir: %w", err)
 	}
 	// Temp files are crash debris from an interrupted Compact; both sides
 	// of their renames are covered by snapshot+WAL, so they are dead weight.
-	os.Remove(filepath.Join(opts.Dir, snapshotName+".tmp"))
-	os.Remove(filepath.Join(opts.Dir, walName+".tmp"))
+	os.Remove(filepath.Join(dir, snapshotName+".tmp"))
+	os.Remove(filepath.Join(dir, walName+".tmp"))
 	if err := s.recover(); err != nil {
-		return nil, err
+		return err
 	}
-	wal, err := os.OpenFile(filepath.Join(opts.Dir, walName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	wal, err := os.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("kvstore: opening WAL: %w", err)
+		return fmt.Errorf("kvstore: opening WAL: %w", err)
 	}
 	fi, err := wal.Stat()
 	if err != nil {
 		wal.Close()
-		return nil, fmt.Errorf("kvstore: sizing WAL: %w", err)
+		return fmt.Errorf("kvstore: sizing WAL: %w", err)
 	}
 	s.wal = wal
 	s.walSize = fi.Size()
-	if opts.Sync == SyncInterval {
+	if s.opts.Sync == SyncInterval {
 		s.flushStop = make(chan struct{})
 		s.flushDone = make(chan struct{})
 		go s.flusher()
 	}
-	return s, nil
+	return nil
+}
+
+// unmapTable moves every shard's memory onto the Go heap, holding all the
+// shard locks at once.
+func (s *Store) unmapTable() {
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+	}
+	for _, sh := range s.shards {
+		sh.moveToHeap()
+	}
+	for _, sh := range s.shards {
+		sh.mu.Unlock()
+	}
 }
 
 // flusher is the group-commit loop: every SyncInterval it fsyncs whatever
@@ -362,11 +365,10 @@ func (s *Store) syncLocked() error {
 	return nil
 }
 
-func (s *Store) shardFor(key string) *shard {
-	var h maphash.Hash
-	h.SetSeed(s.seed)
-	h.WriteString(key)
-	return s.shards[h.Sum64()&uint64(len(s.shards)-1)]
+// shardFor returns key's shard and the hash bits its index words carry.
+func (s *Store) shardFor(key string) (*shard, uint64) {
+	h := maphash.String(s.seed, key)
+	return s.shards[h&uint64(len(s.shards)-1)], h >> hashShift
 }
 
 // Put stores value under key, resetting its TTL. With SyncAlways a nil
@@ -383,22 +385,17 @@ func (s *Store) Put(key string, value []byte) error {
 		return err
 	}
 	s.ops.puts.Add(1)
-	sh := s.shardFor(key)
+	sh, hv := s.shardFor(key)
 	sh.mu.Lock()
-	var v []byte
-	// Rewriting a key reuses the previous value's buffer when it fits — the
-	// session-update hot path rewrites the same key every request. Readers
-	// copy under the shard lock, so no alias escapes; during a snapshot
-	// serialization the cut shares this backing, so reuse is suspended.
-	if old, ok := sh.m[key]; ok && cap(old.value) >= len(value) && !s.snapshotting.Load() {
-		v = old.value[:len(value)]
-	} else {
-		v = make([]byte, len(value))
-	}
-	copy(v, value)
-	sh.m[key] = entry{value: v, lastAccess: now}
+	// The value is copied into the slab; a rewrite that keeps its size
+	// class stays in place — the session hot path rewrites the same key
+	// every request. Readers copy out under the shard lock, so no alias
+	// escapes.
+	err := sh.set(key, value, hv, now)
+	n := sh.reclaim(now)
 	sh.mu.Unlock()
-	return nil
+	s.ops.evictions.Add(uint64(n))
+	return err
 }
 
 // Get returns the value stored under key. A successful read refreshes the
@@ -411,27 +408,29 @@ func (s *Store) Get(key string) ([]byte, bool) {
 // GetAppend is Get for pooled callers: the value is appended to dst (which
 // may be a reused buffer) and the extended slice returned, so a steady-state
 // reader allocates nothing once its buffer has grown to size. The copy
-// happens under the shard lock — it must, now that Put may recycle a value's
-// backing in place.
+// happens under the shard lock — it must, since Put rewrites records in
+// place.
 func (s *Store) GetAppend(key string, dst []byte) ([]byte, bool) {
-	now := s.opts.Now()
+	now := s.opts.Now().UnixNano()
 	s.ops.gets.Add(1)
-	sh := s.shardFor(key)
+	sh, hv := s.shardFor(key)
 	sh.mu.Lock()
-	e, ok := sh.m[key]
+	i, ok := sh.find(key, hv)
 	if !ok {
 		sh.mu.Unlock()
 		return dst, false
 	}
-	if s.expired(e, now) {
-		delete(sh.m, key)
+	ref := sh.refAt(i)
+	rec := sh.record(ref)
+	if s.tab.expired(rec, now) {
+		sh.removeAt(i)
 		sh.mu.Unlock()
 		s.ops.evictions.Add(1)
 		return dst, false
 	}
-	e.lastAccess = now.UnixNano()
-	sh.m[key] = e
-	dst = append(dst, e.value...)
+	binary.LittleEndian.PutUint64(rec, uint64(now))
+	sh.index[i] = s.tab.word(hv, now, ref)
+	dst = append(dst, recValue(rec)...)
 	sh.mu.Unlock()
 	s.ops.hits.Add(1)
 	return dst, true
@@ -449,50 +448,28 @@ func (s *Store) Delete(key string) error {
 		return err
 	}
 	s.ops.deletes.Add(1)
-	sh := s.shardFor(key)
+	sh, hv := s.shardFor(key)
 	sh.mu.Lock()
-	delete(sh.m, key)
+	if i, ok := sh.find(key, hv); ok {
+		sh.removeAt(i)
+	}
+	n := sh.reclaim(now)
 	sh.mu.Unlock()
+	s.ops.evictions.Add(uint64(n))
 	return nil
 }
 
-func (s *Store) expired(e entry, now time.Time) bool {
-	if s.opts.TTL <= 0 {
-		return false
-	}
-	return now.UnixNano()-e.lastAccess > int64(s.opts.TTL)
-}
-
-// Len reports the number of stored entries, including not-yet-swept expired
-// ones.
+// Len reports the number of records held, including expired ones that no
+// read or expiry cursor has reached yet. It takes no lock.
 func (s *Store) Len() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return n
+	return int(s.tab.records.Load())
 }
 
-// Sweep removes all expired entries and reports how many were removed.
-// Serving machines run this periodically, mirroring RocksDB's TTL
-// compaction.
-func (s *Store) Sweep() int {
-	now := s.opts.Now()
-	removed := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for k, e := range sh.m {
-			if s.expired(e, now) {
-				delete(sh.m, k)
-				removed++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	s.ops.evictions.Add(uint64(removed))
-	return removed
+// Bytes reports the table's slab and index bytes, which live outside the
+// Go heap (on the heap where mmap is not available, and after Close). It
+// takes no lock.
+func (s *Store) Bytes() int64 {
+	return s.tab.bytes.Load()
 }
 
 // appendWAL writes one record and, under SyncAlways, fsyncs it. Callers
@@ -592,13 +569,15 @@ replay:
 		key := string(rest[17 : 17+klen])
 		switch op {
 		case opPut:
-			v := make([]byte, vlen)
-			copy(v, rest[17+klen:17+klen+vlen])
-			sh := s.shardFor(key)
-			sh.m[key] = entry{value: v, lastAccess: ts}
+			sh, hv := s.shardFor(key)
+			if err := sh.set(key, rest[17+klen:17+klen+vlen], hv, ts); err != nil {
+				return fmt.Errorf("kvstore: replaying WAL: %w", err)
+			}
 		case opDelete:
-			sh := s.shardFor(key)
-			delete(sh.m, key)
+			sh, hv := s.shardFor(key)
+			if i, ok := sh.find(key, hv); ok {
+				sh.removeAt(i)
+			}
 		default:
 			// Unknown op with a valid CRC: written by a future version.
 			// Stop replay conservatively, keeping the recovered prefix.
@@ -628,22 +607,30 @@ func (s *Store) loadSnapshot() error {
 	if err != nil {
 		return fmt.Errorf("kvstore: reading snapshot: %w", err)
 	}
-	entries, ok := parseSnapshot(data)
+	entries, ok := snapshotEntries(data)
 	if !ok {
 		s.ops.snapshotFallbacks.Add(1)
 		return nil
 	}
-	for _, it := range entries {
-		sh := s.shardFor(it.key)
-		sh.m[it.key] = it.e
+	for len(entries) > 0 {
+		ts := int64(binary.LittleEndian.Uint64(entries))
+		klen := int(binary.LittleEndian.Uint32(entries[8:]))
+		vlen := int(binary.LittleEndian.Uint32(entries[12:]))
+		key := string(entries[16 : 16+klen])
+		sh, hv := s.shardFor(key)
+		if err := sh.set(key, entries[16+klen:16+klen+vlen], hv, ts); err != nil {
+			return fmt.Errorf("kvstore: loading snapshot: %w", err)
+		}
+		entries = entries[16+klen+vlen:]
 	}
 	return nil
 }
 
-// parseSnapshot validates and decodes a snapshot image into a staging slice
-// — nothing is installed unless the whole file checks out, so a corrupt
-// snapshot can never half-populate the memtable.
-func parseSnapshot(data []byte) ([]kvPair, bool) {
+// snapshotEntries validates a snapshot image and returns its entries, each
+// ts(8) | klen(4) | vlen(4) | key | value. Nothing is installed unless the
+// whole file checks out, so a corrupt snapshot can never half-populate the
+// memtable.
+func snapshotEntries(data []byte) ([]byte, bool) {
 	if len(data) < 12 {
 		return nil, false
 	}
@@ -657,35 +644,38 @@ func parseSnapshot(data []byte) ([]kvPair, bool) {
 	count := int(binary.LittleEndian.Uint32(data[4:]))
 	body := data[:len(data)-4]
 	off := 8
-	entries := make([]kvPair, 0, count)
 	for i := 0; i < count; i++ {
 		if len(body)-off < 16 {
 			return nil, false
 		}
-		ts := int64(binary.LittleEndian.Uint64(body[off:]))
 		klen := int(binary.LittleEndian.Uint32(body[off+8:]))
 		vlen := int(binary.LittleEndian.Uint32(body[off+12:]))
 		off += 16
-		if klen < 0 || vlen < 0 || len(body)-off < klen+vlen {
+		if len(body)-off < klen+vlen {
 			return nil, false
 		}
-		key := string(body[off : off+klen])
-		v := make([]byte, vlen)
-		copy(v, body[off+klen:off+klen+vlen])
 		off += klen + vlen
-		entries = append(entries, kvPair{key: key, e: entry{value: v, lastAccess: ts}})
 	}
 	if off != len(body) {
 		return nil, false // trailing garbage under a forged checksum
 	}
-	return entries, true
+	return body[8:], true
 }
 
 // Compact writes a snapshot of the live (unexpired) entries and trims the
 // WAL to the records appended after the snapshot's cut. Writers are blocked
-// only while the cut is taken and while the trimmed WAL is swapped in — the
-// snapshot serialization itself runs off the write path. Every error path
-// leaves the store writable against its existing WAL.
+// only while the cut is recorded and while the trimmed WAL is swapped in;
+// the copy takes one shard lock at a time and serialization none. Every
+// error path leaves the store writable against its existing WAL.
+//
+// The copy is fuzzy: writes land in shards before and after it passes them.
+// Replaying the WAL from the cut over it is still exact. Every record
+// before the cut was published before the cut was recorded, so the copy
+// holds each key at its state at the cut or later. Every record after the
+// cut is a whole-value put or a delete, so replaying one the copy already
+// holds rewrites the same state, and a key's last record decides it, in
+// recovery as it did live. A key with no record after the cut is copied at
+// its state at the cut.
 func (s *Store) Compact() error {
 	if s.opts.Dir == "" {
 		return nil
@@ -693,42 +683,40 @@ func (s *Store) Compact() error {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
 
-	// Phase 1 — the cut: under the exclusive commit lock, no Put/Delete is
-	// between its WAL append and memtable publish, so the memtable copy
-	// covers exactly the WAL prefix [0, cut).
+	// Phase 1 — the cut: under the exclusive commit lock no Put/Delete is
+	// between its WAL append and its memtable publish.
 	s.commitMu.Lock()
 	s.walMu.Lock()
-	if s.closed {
-		s.walMu.Unlock()
-		s.commitMu.Unlock()
+	closed, cut := s.closed, s.walSize
+	s.walMu.Unlock()
+	s.commitMu.Unlock()
+	if closed {
 		return ErrClosed
 	}
-	cut := s.walSize
-	s.walMu.Unlock()
-	now := s.opts.Now()
-	var live []kvPair
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for k, e := range sh.m {
-			if !s.expired(e, now) {
-				live = append(live, kvPair{key: k, e: e})
+
+	// Phase 2 — copy the live records, shard by shard, into the snapshot
+	// image, then write and install it off the write path.
+	tmp := filepath.Join(s.opts.Dir, snapshotName+".tmp")
+	now := s.opts.Now().UnixNano()
+	img := make([]byte, 8, 4096)
+	count := 0
+	for i, sh := range s.shards {
+		if i == len(s.shards)/2 {
+			if err := failpoint.Inject(FailCompactSnapshotWrite); err != nil {
+				os.WriteFile(tmp, img, 0o644) // the partial temp file a crash leaves
+				return err
 			}
 		}
-		sh.mu.RUnlock()
+		var n int
+		sh.mu.Lock()
+		img, n = sh.appendLive(img, now)
+		sh.mu.Unlock()
+		count += n
 	}
-	// The cut shares value backing with the memtable. Suspend Put's in-place
-	// buffer reuse until serialization is done; setting the flag before the
-	// exclusive commit lock drops makes it visible to every Put that can
-	// overlap Phase 2.
-	s.snapshotting.Store(true)
-	defer s.snapshotting.Store(false)
-	s.commitMu.Unlock()
-
-	// Phase 2 — serialize and install the snapshot off the write path. Put
-	// stores fresh copies while snapshotting is set, so the captured slice
-	// is a consistent image.
-	tmp := filepath.Join(s.opts.Dir, snapshotName+".tmp")
-	if err := writeSnapshotFile(tmp, live); err != nil {
+	binary.LittleEndian.PutUint32(img, snapshotMagic)
+	binary.LittleEndian.PutUint32(img[4:], uint32(count))
+	img = binary.LittleEndian.AppendUint32(img, crc32.ChecksumIEEE(img))
+	if err := writeSnapshotFile(tmp, img); err != nil {
 		return err
 	}
 	if err := failpoint.Inject(FailCompactSnapshotRename); err != nil {
@@ -747,55 +735,15 @@ func (s *Store) Compact() error {
 	return s.trimWAL(cut)
 }
 
-// writeSnapshotFile serializes entries to path with a whole-file CRC32
-// trailer and fsyncs it. Layout: magic(4) | count(4) | entries | crc(4),
-// each entry ts(8) | klen(4) | vlen(4) | key | value; the CRC covers
-// everything before it.
-func writeSnapshotFile(path string, live []kvPair) error {
+// writeSnapshotFile writes a snapshot image and fsyncs it. Layout: magic(4)
+// | count(4) | entries | crc(4), each entry ts(8) | klen(4) | vlen(4) | key
+// | value; the CRC covers everything before it.
+func writeSnapshotFile(path string, img []byte) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("kvstore: creating snapshot: %w", err)
 	}
-	crc := crc32.NewIEEE()
-	bw := bufio.NewWriter(f)
-	w := io.MultiWriter(bw, crc)
-	header := make([]byte, 8)
-	binary.LittleEndian.PutUint32(header, snapshotMagic)
-	binary.LittleEndian.PutUint32(header[4:], uint32(len(live)))
-	if _, err := w.Write(header); err != nil {
-		f.Close()
-		return err
-	}
-	if err := failpoint.Inject(FailCompactSnapshotWrite); err != nil {
-		bw.Flush() // leave the partial temp file a crash would
-		f.Close()
-		return err
-	}
-	buf := make([]byte, 16)
-	for _, item := range live {
-		binary.LittleEndian.PutUint64(buf, uint64(item.e.lastAccess))
-		binary.LittleEndian.PutUint32(buf[8:], uint32(len(item.key)))
-		binary.LittleEndian.PutUint32(buf[12:], uint32(len(item.e.value)))
-		if _, err := w.Write(buf); err != nil {
-			f.Close()
-			return err
-		}
-		if _, err := io.WriteString(w, item.key); err != nil {
-			f.Close()
-			return err
-		}
-		if _, err := w.Write(item.e.value); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], crc.Sum32())
-	if _, err := bw.Write(trailer[:]); err != nil {
-		f.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
+	if _, err := f.Write(img); err != nil {
 		f.Close()
 		return err
 	}
@@ -868,8 +816,10 @@ func (s *Store) trimWAL(cut int64) error {
 }
 
 // Close stops the group-commit flusher, performs a final sync (unless the
-// policy is SyncNever) and releases the WAL. Further writes return
-// ErrClosed; reads continue to work against the in-memory state.
+// policy is SyncNever) and releases the WAL. It unmaps the table's slabs
+// after holding every shard lock, copying them onto the Go heap first, so
+// reads continue to work against the in-memory state. Further writes to a
+// store with a Dir return ErrClosed.
 func (s *Store) Close() error {
 	s.commitMu.Lock()
 	s.walMu.Lock()
@@ -881,6 +831,7 @@ func (s *Store) Close() error {
 	s.closed = true
 	s.walMu.Unlock()
 	s.commitMu.Unlock()
+	s.unmapTable()
 	if s.flushStop != nil {
 		close(s.flushStop)
 		<-s.flushDone

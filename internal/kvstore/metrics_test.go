@@ -7,7 +7,12 @@ import (
 
 func TestMetricsCounters(t *testing.T) {
 	clock := newFakeClock()
-	s := openMem(t, 30*time.Minute, clock)
+	// One shard, so a write's expiry cursor laps the whole 16-slot index.
+	s, err := Open(Options{Shards: 1, TTL: 30 * time.Minute, Now: clock.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
 
 	if err := s.Put("a", []byte("1")); err != nil {
 		t.Fatal(err)
@@ -30,7 +35,7 @@ func TestMetricsCounters(t *testing.T) {
 		t.Fatalf("counters after ops: %+v", m)
 	}
 
-	// Lazy eviction on an expired read counts, as does Sweep.
+	// Lazy eviction on an expired read counts, as does a write's cursor.
 	clock.Advance(31 * time.Minute)
 	if _, ok := s.Get("a"); ok {
 		t.Fatal("a should have expired")
@@ -39,12 +44,12 @@ func TestMetricsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock.Advance(31 * time.Minute)
-	if n := s.Sweep(); n != 1 {
-		t.Fatalf("Sweep removed %d, want 1", n)
+	if err := s.Delete("nope"); err != nil {
+		t.Fatal(err)
 	}
 	m = s.Metrics()
-	if m.Evictions != 2 {
-		t.Fatalf("evictions = %d, want 2 (one lazy, one swept): %+v", m.Evictions, m)
+	if m.Evictions != 2 || s.Len() != 0 {
+		t.Fatalf("evictions = %d, Len = %d, want 2 (one lazy, one by the cursor) and 0: %+v", m.Evictions, s.Len(), m)
 	}
 }
 

@@ -3,20 +3,22 @@ package kvstore
 import (
 	"bytes"
 	"testing"
+
+	"serenade/internal/failpoint"
 )
 
-// storedBacking returns the address of the first byte of the value stored
-// under key, for asserting whether a rewrite reused the old buffer.
-func storedBacking(t *testing.T, s *Store, key string) *byte {
+// storedRef returns the slab reference of the record stored under key, for
+// asserting whether a rewrite stayed in its block.
+func storedRef(t *testing.T, s *Store, key string) uint32 {
 	t.Helper()
-	sh := s.shardFor(key)
+	sh, hv := s.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e, ok := sh.m[key]
-	if !ok || len(e.value) == 0 {
+	i, ok := sh.find(key, hv)
+	if !ok {
 		t.Fatalf("no stored value under %q", key)
 	}
-	return &e.value[0]
+	return sh.refAt(i)
 }
 
 func TestGetAppendReusesDst(t *testing.T) {
@@ -51,8 +53,8 @@ func TestGetAppendReusesDst(t *testing.T) {
 }
 
 // TestGetAppendCopies pins the aliasing contract: the returned bytes are a
-// copy, never a window into the memtable — required now that Put may rewrite
-// a value's backing in place.
+// copy, never a window into a slab — required because Put rewrites a record
+// in place.
 func TestGetAppendCopies(t *testing.T) {
 	s := openMem(t, 0, nil)
 	s.Put("k", []byte("abc"))
@@ -72,52 +74,72 @@ func TestPutReusesValueBuffer(t *testing.T) {
 	if err := s.Put("k", []byte("0123456789")); err != nil {
 		t.Fatal(err)
 	}
-	before := storedBacking(t, s, "k")
+	before := storedRef(t, s, "k")
 
-	// Rewriting with a value that fits reuses the old backing — the session
-	// hot path rewrites the same key every request at near-constant size.
+	// Rewriting with a value whose record keeps its size class stays in
+	// the block — the session hot path rewrites the same key every request
+	// at near-constant size.
 	if err := s.Put("k", []byte("abcde")); err != nil {
 		t.Fatal(err)
 	}
-	if after := storedBacking(t, s, "k"); after != before {
-		t.Error("Put allocated a fresh buffer although the old one fit")
+	if after := storedRef(t, s, "k"); after != before {
+		t.Error("Put moved a record that fit its block")
 	}
 	if v, _ := s.Get("k"); !bytes.Equal(v, []byte("abcde")) {
 		t.Fatalf("Get after in-place rewrite = %q", v)
 	}
 
-	// A larger value cannot fit and must get fresh backing.
+	// A larger value cannot fit and must get a fresh block.
 	grown := bytes.Repeat([]byte("x"), 64)
 	if err := s.Put("k", grown); err != nil {
 		t.Fatal(err)
 	}
-	if after := storedBacking(t, s, "k"); after == before {
-		t.Error("Put reused a buffer smaller than the new value")
+	if after := storedRef(t, s, "k"); after == before {
+		t.Error("Put kept a block smaller than the new record")
 	}
 	if v, _ := s.Get("k"); !bytes.Equal(v, grown) {
 		t.Fatalf("Get after growing rewrite = %q", v)
 	}
 }
 
-// TestPutSnapshotSuspendsReuse verifies the Compact interlock: while the
-// snapshotting flag is up, a fitting rewrite must NOT recycle the old
-// backing, because the compaction cut aliases it.
-func TestPutSnapshotSuspendsReuse(t *testing.T) {
-	s := openMem(t, 0, nil)
+// TestPutInPlaceDuringCompact: Compact copies records out under each shard
+// lock, so nothing aliases a slab while the snapshot is written. A rewrite
+// held up by nothing stays in its block mid-Compact, and recovery sees the
+// rewritten value.
+func TestPutInPlaceDuringCompact(t *testing.T) {
+	defer failpoint.DisableAll()
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir, Sync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Put("k", []byte("0123456789")); err != nil {
 		t.Fatal(err)
 	}
-	before := storedBacking(t, s, "k")
+	before := storedRef(t, s, "k")
 
-	s.snapshotting.Store(true)
-	defer s.snapshotting.Store(false)
+	held, release := holdCompact(t)
+	compactDone := make(chan error, 1)
+	go func() { compactDone <- s.Compact() }()
+	<-held
 	if err := s.Put("k", []byte("abcde")); err != nil {
 		t.Fatal(err)
 	}
-	if after := storedBacking(t, s, "k"); after == before {
-		t.Error("Put reused a value buffer during snapshot serialization")
+	if after := storedRef(t, s, "k"); after != before {
+		t.Error("Put moved a record that fit its block while Compact ran")
 	}
-	if v, _ := s.Get("k"); !bytes.Equal(v, []byte("abcde")) {
-		t.Fatalf("Get = %q", v)
+	close(release)
+	if err := <-compactDone; err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	s2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if v, _ := s2.Get("k"); !bytes.Equal(v, []byte("abcde")) {
+		t.Fatalf("recovered %q, want the rewrite made during Compact", v)
 	}
 }

@@ -382,6 +382,8 @@ func (s *Server) buildRegistry() {
 
 	r.GaugeFunc("serenade_active_sessions", "Evolving sessions currently stored.",
 		func() float64 { return float64(s.store.Len()) })
+	r.GaugeFunc("serenade_session_store_bytes", "Session-store slab and index bytes, mapped outside the Go heap.",
+		func() float64 { return float64(s.store.Bytes()) })
 	r.GaugeFunc("serenade_index_sessions", "Historical sessions in the active index.",
 		func() float64 { return float64(s.active.Load().idx.NumSessions()) })
 	r.GaugeFunc("serenade_index_items", "Distinct items in the active index.",
@@ -725,20 +727,12 @@ func (s *Server) SessionState(key string) ([]sessions.ItemID, bool) {
 	return decodeSession(raw), true
 }
 
-// SweepSessions evicts expired session state, mirroring the 30-minute
-// RocksDB TTL, and compacts the store's WAL down to the live sessions (a
-// no-op without StoreDir); serving machines call it periodically. A failed
-// compaction is logged and leaves the store writable on its old WAL.
-func (s *Server) SweepSessions() int {
-	n := s.store.Sweep()
-	if err := s.store.Compact(); err != nil {
-		logger := s.cfg.Logger
-		if logger == nil {
-			logger = slog.Default()
-		}
-		logger.Error("session store compaction failed", "err", err)
-	}
-	return n
+// CompactSessions compacts the session store's WAL down to a snapshot of
+// the live sessions (a no-op without StoreDir); serving machines call it
+// periodically. Expired sessions need no such call: the store frees them as
+// it writes. A failed compaction leaves the store writable on its old WAL.
+func (s *Server) CompactSessions() error {
+	return s.store.Compact()
 }
 
 // StageStats is one pipeline stage's latency summary in Stats.

@@ -208,20 +208,19 @@ func TestSessionTTLExpiry(t *testing.T) {
 	s := testServer(t, Config{Now: clock.Now})
 	s.Recommend(Request{SessionKey: "u", Item: 1, Consent: true})
 	clock.Advance(31 * time.Minute)
-	if n := s.SweepSessions(); n != 1 {
-		t.Errorf("sweep removed %d, want 1", n)
-	}
 	resp, _ := s.Recommend(Request{SessionKey: "u", Item: 2, Consent: true})
 	if resp.SessionLength != 1 {
 		t.Errorf("session length after expiry = %d, want 1 (fresh session)", resp.SessionLength)
 	}
+	if n := s.Stats().StoreEvictions; n != 1 {
+		t.Errorf("store evictions = %d, want 1", n)
+	}
 }
 
-// TestSweepCompactsWAL: with a store directory the periodic sweep also
-// compacts the session store, so the WAL stops growing with every request
-// ever served, and a restart on the same directory still recovers the live
-// sessions.
-func TestSweepCompactsWAL(t *testing.T) {
+// TestCompactSessionsTrimsWAL: with a store directory the periodic
+// compaction keeps the WAL from growing with every request ever served, and
+// a restart on the same directory still recovers the live sessions.
+func TestCompactSessionsTrimsWAL(t *testing.T) {
 	dir := t.TempDir()
 	walSize := func() int64 {
 		t.Helper()
@@ -245,9 +244,11 @@ func TestSweepCompactsWAL(t *testing.T) {
 		}
 	}
 	before := walSize()
-	s.SweepSessions()
+	if err := s.CompactSessions(); err != nil {
+		t.Fatal(err)
+	}
 	if after := walSize(); after*10 > before {
-		t.Errorf("WAL is %d bytes after the sweep, %d before: not compacted", after, before)
+		t.Errorf("WAL is %d bytes after compaction, %d before: not compacted", after, before)
 	}
 	want := make(map[string][]sessions.ItemID, keys)
 	for i := 0; i < keys; i++ {
@@ -856,6 +857,7 @@ func TestPrometheusMetrics(t *testing.T) {
 	for _, want := range []string{
 		"serenade_requests_total 1",
 		"serenade_active_sessions 1",
+		"serenade_session_store_bytes ",
 		"serenade_index_swaps_total 0",
 		"# TYPE serenade_request_latency_seconds histogram",
 		`serenade_request_latency_seconds_bucket{le="+Inf"} 1`,
